@@ -43,10 +43,10 @@ if [[ "$run_sanitizers" == "1" ]]; then
     "$repo/build-asan/tests/$t"
   done
 
-  echo "== tier 1c: vmpi engine + resilience under TSan, both execution modes =="
+  echo "== tier 1c: vmpi engine + scheduler under TSan, both execution modes =="
   vmpi_tests=(vmpi_engine_test vmpi_collectives_test vmpi_engine_stress_test
-              vmpi_fault_test vmpi_split_test sched_resilience_test
-              sched_snapshot_test serve_service_test)
+              vmpi_fault_test vmpi_split_test sched_scheduler_test
+              sched_resilience_test sched_snapshot_test serve_service_test)
   cmake -S "$repo" -B "$repo/build-tsan" \
     -DCMAKE_BUILD_TYPE=Release \
     -DHPRS_ENABLE_TSAN=ON \

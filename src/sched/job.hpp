@@ -59,10 +59,6 @@ struct JobSpec {
   double memory_fraction = 0.5;
   core::PartitionPolicy policy = core::PartitionPolicy::kHeterogeneous;
   bool charge_data_staging = false;
-  /// Streamed per-tile staging (core tile driver): the cost model then
-  /// overlaps a member's host->device copy with its compute instead of
-  /// summing them.  Default false keeps historic estimates bit-identical.
-  bool tile_stream = false;
 
   /// Scene override; the scheduler's shared scene when null.
   const hsi::HsiCube* scene = nullptr;
@@ -168,7 +164,8 @@ struct JobRecord {
   /// Nonzero for a batched rider: the id of the leader job whose gang
   /// computed this request's result (serve/batcher.hpp).  The rider's
   /// output is the leader's, copied after the run; its busy_s is 0 (it
-  /// held no ranks).
+  /// held no ranks).  It shares the leader's terminal state and error,
+  /// whatever attempt of the leader's reached them.
   std::uint64_t batched_into = 0;
   /// On a batch leader: how many riders its gang's single computation
   /// served in addition to itself.

@@ -37,8 +37,7 @@ bool compute_equivalent(const JobSpec& a, const JobSpec& b) {
          a.seed == b.seed && a.sad_threshold == b.sad_threshold &&
          a.replication == b.replication &&
          a.memory_fraction == b.memory_fraction && a.policy == b.policy &&
-         a.charge_data_staging == b.charge_data_staging &&
-         a.tile_stream == b.tile_stream && a.scene == b.scene;
+         a.charge_data_staging == b.charge_data_staging && a.scene == b.scene;
 }
 
 const char* to_string(JobState state) {

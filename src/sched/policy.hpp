@@ -67,9 +67,6 @@ struct RunningJob {
   std::vector<int> members;
   /// Shared-work key of the gang's job (0 = unbatchable).
   std::uint64_t batch_key = 0;
-  /// Stream indices of batched riders attached to this gang: requests
-  /// whose compute-equivalent result this gang's single run will serve.
-  std::vector<std::size_t> riders;
 };
 
 /// Indexed ready queue: the dispatcher's pending set, kept permanently in

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/error.hpp"
 #include "core/ft_programs.hpp"
@@ -111,95 +113,137 @@ std::vector<std::any> ResilientDriver::phase(
 
 void ResilientDriver::finish() { master_->finish(); }
 
-void ProgramBundle::harvest(JobOutput& out) {
-  switch (algorithm) {
-    case JobAlgorithm::kAtdca:
-    case JobAlgorithm::kUfcls:
-      out.targets = std::move(target->targets);
-      break;
-    case JobAlgorithm::kPct:
-    case JobAlgorithm::kMorph:
-      out.labels = std::move(classification->labels);
-      out.label_count = classification->label_count;
-      break;
-    case JobAlgorithm::kPpi:
-      out.targets = std::move(ppi->targets);
-      out.scores = std::move(ppi->scores);
-      break;
-  }
-}
+namespace {
 
-ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
-  ProgramBundle bundle;
-  bundle.algorithm = spec.algorithm;
+/// Every algorithm config a job can translate to, one per JobAlgorithm.
+using JobConfig = std::variant<core::AtdcaConfig, core::UfclsConfig,
+                               core::PctConfig, core::MorphConfig,
+                               core::PpiConfig>;
+
+/// The one JobSpec -> core::*Config translation both gang runtimes share.
+JobConfig job_config(const JobSpec& spec) {
+  JobConfig config;
   switch (spec.algorithm) {
-    case JobAlgorithm::kAtdca: {
-      core::AtdcaConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
-      bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::atdca_ft_program(scene, config, *bundle.target);
+    case JobAlgorithm::kAtdca:
+      config.emplace<core::AtdcaConfig>().targets = spec.targets;
       break;
-    }
-    case JobAlgorithm::kUfcls: {
-      core::UfclsConfig config;
-      config.targets = spec.targets;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
-      bundle.target = std::make_shared<core::TargetDetectionResult>();
-      bundle.program = core::ufcls_ft_program(scene, config, *bundle.target);
+    case JobAlgorithm::kUfcls:
+      config.emplace<core::UfclsConfig>().targets = spec.targets;
       break;
-    }
     case JobAlgorithm::kPct: {
-      core::PctConfig config;
-      config.classes = spec.classes;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
-      bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program =
-          core::pct_ft_program(scene, config, *bundle.classification);
+      auto& c = config.emplace<core::PctConfig>();
+      c.classes = spec.classes;
+      c.sad_threshold = spec.sad_threshold;
       break;
     }
     case JobAlgorithm::kMorph: {
-      core::MorphConfig config;
-      config.classes = spec.classes;
-      config.iterations = spec.iterations;
-      config.kernel_radius = spec.kernel_radius;
-      config.sad_threshold = spec.sad_threshold;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
-      // The master/worker protocol has no worker-to-worker halo exchange;
-      // chunks must carry their own borders.
-      config.overlap_borders = true;
-      bundle.classification = std::make_shared<core::ClassificationResult>();
-      bundle.program =
-          core::morph_ft_program(scene, config, *bundle.classification);
+      auto& c = config.emplace<core::MorphConfig>();
+      c.classes = spec.classes;
+      c.iterations = spec.iterations;
+      c.kernel_radius = spec.kernel_radius;
+      c.sad_threshold = spec.sad_threshold;
       break;
     }
     case JobAlgorithm::kPpi: {
-      core::PpiConfig config;
-      config.targets = spec.targets;
-      config.skewers = spec.skewers;
-      config.seed = spec.seed;
-      config.policy = spec.policy;
-      config.memory_fraction = spec.memory_fraction;
-      config.replication = spec.replication;
-      config.charge_data_staging = spec.charge_data_staging;
-      bundle.ppi = std::make_shared<core::PpiResult>();
-      bundle.program = core::ppi_ft_program(scene, config, *bundle.ppi);
+      auto& c = config.emplace<core::PpiConfig>();
+      c.targets = spec.targets;
+      c.skewers = spec.skewers;
+      c.seed = spec.seed;
       break;
     }
   }
+  std::visit(
+      [&spec](auto& c) {
+        c.policy = spec.policy;
+        c.memory_fraction = spec.memory_fraction;
+        c.replication = spec.replication;
+        c.charge_data_staging = spec.charge_data_staging;
+      },
+      config);
+  return config;
+}
+
+/// Per-config gang runtimes: the plain SPMD body, the ft::Program factory,
+/// and the result struct both of them fill.
+template <typename Config>
+struct Runtimes;
+template <>
+struct Runtimes<core::AtdcaConfig> {
+  using Result = core::TargetDetectionResult;
+  static constexpr auto body = &core::atdca_body;
+  static constexpr auto program = &core::atdca_ft_program;
+};
+template <>
+struct Runtimes<core::UfclsConfig> {
+  using Result = core::TargetDetectionResult;
+  static constexpr auto body = &core::ufcls_body;
+  static constexpr auto program = &core::ufcls_ft_program;
+};
+template <>
+struct Runtimes<core::PctConfig> {
+  using Result = core::ClassificationResult;
+  static constexpr auto body = &core::pct_body;
+  static constexpr auto program = &core::pct_ft_program;
+};
+template <>
+struct Runtimes<core::MorphConfig> {
+  using Result = core::ClassificationResult;
+  static constexpr auto body = &core::morph_body;
+  static constexpr auto program = &core::morph_ft_program;
+};
+template <>
+struct Runtimes<core::PpiConfig> {
+  using Result = core::PpiResult;
+  static constexpr auto body = &core::ppi_body;
+  static constexpr auto program = &core::ppi_ft_program;
+};
+
+template <typename Config>
+using RuntimesOf = Runtimes<std::decay_t<Config>>;
+
+/// The result harvest, shared by both gang runtimes.
+void harvest(core::TargetDetectionResult& result, JobOutput& out) {
+  out.targets = std::move(result.targets);
+}
+void harvest(core::ClassificationResult& result, JobOutput& out) {
+  out.labels = std::move(result.labels);
+  out.label_count = result.label_count;
+}
+void harvest(core::PpiResult& result, JobOutput& out) {
+  out.targets = std::move(result.targets);
+  out.scores = std::move(result.scores);
+}
+
+}  // namespace
+
+void run_plain_job(vmpi::Comm& sub, const JobSpec& spec,
+                   const hsi::HsiCube& scene, JobOutput& out) {
+  std::visit(
+      [&](const auto& config) {
+        using R = RuntimesOf<decltype(config)>;
+        typename R::Result result;
+        R::body(sub, scene, config, result);
+        if (sub.is_root()) harvest(result, out);
+      },
+      job_config(spec));
+}
+
+ProgramBundle make_job_program(const JobSpec& spec, const hsi::HsiCube& scene) {
+  JobConfig config = job_config(spec);
+  // The master/worker protocol has no worker-to-worker halo exchange;
+  // chunks must carry their own borders.
+  if (auto* morph = std::get_if<core::MorphConfig>(&config)) {
+    morph->overlap_borders = true;
+  }
+  ProgramBundle bundle;
+  std::visit(
+      [&](const auto& c) {
+        using R = RuntimesOf<decltype(c)>;
+        auto result = std::make_shared<typename R::Result>();
+        bundle.program = R::program(scene, c, *result);
+        bundle.harvest = [result](JobOutput& out) { harvest(*result, out); };
+      },
+      config);
   return bundle;
 }
 

@@ -32,17 +32,22 @@
 //    themselves free to the dispatcher, which retries the job with seeded
 //    exponential backoff until it completes or exhausts its attempts
 //    (JobState::kDegraded when checkpoints exist, kFailed otherwise).
+//
+// Both gang runtimes -- run_plain_job (the base mode's unmodified SPMD
+// bodies) and the resilient leader/worker pair -- build their algorithm
+// config from the JobSpec through one translation and harvest the result
+// through one function, so the two modes cannot drift apart on what a job
+// computes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ft.hpp"
-#include "core/ppi.hpp"
-#include "core/types.hpp"
 #include "hsi/cube.hpp"
 #include "sched/checkpoint.hpp"
 #include "sched/job.hpp"
@@ -143,24 +148,25 @@ class ResilientDriver final : public core::ft::PhaseDriver {
   std::vector<double> checkpoint_at_s_;
 };
 
-/// One job packaged for the resilient gang runtime: the ft::Program plus
-/// the heap-allocated result structs its closures write into (the Program
-/// captures them by reference, so they must live exactly as long as it).
-struct ProgramBundle {
-  JobAlgorithm algorithm = JobAlgorithm::kAtdca;
-  std::shared_ptr<core::TargetDetectionResult> target;
-  std::shared_ptr<core::ClassificationResult> classification;
-  std::shared_ptr<core::PpiResult> ppi;
-  core::ft::Program program;
+/// Runs one job as a member of the plain gang runtime: the algorithm's
+/// unmodified SPMD body (core::*_body) on `sub`; the sub root harvests the
+/// result into `out`.
+void run_plain_job(vmpi::Comm& sub, const JobSpec& spec,
+                   const hsi::HsiCube& scene, JobOutput& out);
 
+/// One job packaged for the resilient gang runtime: the ft::Program plus
+/// the harvest of the result its closures write into (the harvest owns
+/// that result, so it lives exactly as long as the bundle).
+struct ProgramBundle {
+  core::ft::Program program;
   /// Moves the algorithm's numeric result into `out` (leader side, after a
   /// completed run).
-  void harvest(JobOutput& out);
+  std::function<void(JobOutput&)> harvest;
 };
 
-/// Builds the job's ft::Program from its spec, with configs derived
-/// exactly as the base scheduler's run_job builds them (MORPH additionally
-/// forces overlap_borders, which the master/worker protocol requires).
+/// Builds the job's ft::Program from its spec with the same config
+/// translation run_plain_job uses; MORPH additionally forces
+/// overlap_borders, which the master/worker protocol requires.
 [[nodiscard]] ProgramBundle make_job_program(const JobSpec& spec,
                                              const hsi::HsiCube& scene);
 

@@ -10,7 +10,9 @@
 // and run the algorithm's unmodified SPMD body on it.  The gang leader
 // reports completion (aligned finish time + summed busy time) back to the
 // dispatcher, which frees the ranks and keeps going until the stream
-// drains.  See DESIGN.md section 11 for the determinism argument.
+// drains.  SchedulerConfig::resilience swaps in the resilient gang runtime,
+// report and retry queue without a second loop.  See DESIGN.md section 11
+// for the determinism argument.
 #pragma once
 
 #include <map>
@@ -32,28 +34,32 @@ struct SchedulerConfig {
   /// Publish per-job Domain::kStable metrics (queue wait, makespan,
   /// utilization) into the obs registry after the run.
   bool record_metrics = true;
-  /// Cluster resilience (sched/resilience.hpp).  When enabled the
-  /// dispatcher runs the checkpoint/retry control plane: gang leaders are
-  /// mortal, crashed ranks leave the pool, preempted or failed jobs are
-  /// retried (elastically resized, resumed from their last checkpoint)
-  /// with seeded backoff, and jobs exhausting their attempts go
-  /// kDegraded / kFailed instead of aborting the schedule.  Off by
-  /// default: the base path stays bit-identical to previous releases.
+  /// Cluster resilience (sched/resilience.hpp).  The dispatcher and worker
+  /// loops are the same in both modes; enabling it selects the resilient
+  /// gang runtime (mortal gang leaders, checkpoints), the try_recv'd
+  /// completion report (crashed ranks leave the pool), the retry queue
+  /// (preempted or failed jobs retried elastically resized, resumed from
+  /// their last checkpoint, with seeded backoff; jobs exhausting their
+  /// attempts go kDegraded / kFailed instead of aborting the schedule),
+  /// and the speed-scale feedback.  Off by default: the base path stays
+  /// bit-identical to previous releases.
   ResilienceConfig resilience;
   /// Compute-once batching (serve/batcher.hpp): when a job with a nonzero
   /// JobSpec::batch_key is dispatched or running, compute-equivalent jobs
   /// sharing the key attach to its gang as *riders* instead of dispatching
   /// -- the gang computes once and the scheduler fans the result out to
   /// every rider at completion (JobRecord::batched_into / batch_fanout).
-  /// Base scheduler only; off by default (streams with zero keys are
-  /// unaffected either way).
+  /// Under resilience a rider binds to its host job: it follows the host
+  /// through retries and shares its terminal state and error.  Off by
+  /// default (streams with zero keys are unaffected either way).
   bool batch_shared_keys = false;
   /// Per-tenant admission cap on in-flight ranks: the summed requested
   /// gang widths of a tenant's admitted, not-yet-finished jobs (queued +
   /// running + riders) may not exceed its cap.  A job arriving over the
   /// cap is rejected at its arrival event with a named
   /// "quota:inflight_ranks ..." reason.  Tenants without an entry (and
-  /// entries <= 0) are unlimited.  Base scheduler only.
+  /// entries <= 0) are unlimited.  A job's ranks are released when it
+  /// reaches any terminal state (completed, degraded or failed).
   std::map<std::string, int> tenant_rank_caps;
 };
 

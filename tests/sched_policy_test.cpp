@@ -73,8 +73,8 @@ TEST(SchedPolicyTest, HeteroPicksFastestFreeRanks) {
 
 TEST(SchedPolicyTest, ReservationTimeDrainsCompletionsInEstOrder) {
   std::vector<RunningJob> running{
-      {/*id=*/1, 0, /*est_finish=*/20.0, {1, 2}, /*batch_key=*/0, {}},
-      {/*id=*/2, 1, /*est_finish=*/10.0, {3}, /*batch_key=*/0, {}},
+      {/*id=*/1, 0, /*est_finish=*/20.0, {1, 2}, /*batch_key=*/0},
+      {/*id=*/2, 1, /*est_finish=*/10.0, {3}, /*batch_key=*/0},
   };
   // 1 free now; width 2 satisfied when job 2 (est 10) drains.
   EXPECT_EQ(reservation_time(running, 1, 2, 5.0), 10.0);
@@ -93,7 +93,7 @@ TEST(SchedPolicyTest, ConservativeBackfillRespectsHeadReservation) {
       {/*id=*/2, 1, /*arrival=*/1.0, /*est=*/4.0, /*width=*/2},
   };
   std::vector<RunningJob> running{{/*id=*/9, 2, /*est_finish=*/10.0,
-                                   {0, 1, 2, 3}, /*batch_key=*/0, {}}};
+                                   {0, 1, 2, 3}, /*batch_key=*/0}};
   // now=5: 5 + 4 <= 10, so job 2 backfills onto the free ranks.
   auto sel = try_select(Policy::kHeteroBestFit, platform, ready, {4, 5},
                         running, /*now=*/5.0);

@@ -577,8 +577,8 @@ TEST(SchedResilienceTest, ExhaustedRetriesDegradeWithCheckpointsElseFail) {
   // Job 2 arrived after the pool was gone and never ran: failed.
   EXPECT_EQ(result.records[1].state, JobState::kFailed);
   EXPECT_EQ(result.failed(), 1u);
-  EXPECT_EQ(to_string(result.records[0].state), "degraded");
-  EXPECT_EQ(to_string(result.records[1].state), "failed");
+  EXPECT_STREQ(to_string(result.records[0].state), "degraded");
+  EXPECT_STREQ(to_string(result.records[1].state), "failed");
 
   // Without a checkpoint store the same collapse is a plain failure.  The
   // cold schedule paces differently (no checkpoint charges), so its crash
@@ -712,6 +712,217 @@ TEST(SchedResilienceTest, RejectsMalformedClusterFaultPlans) {
           << e.what();
     }
   }
+}
+
+/// 24 jobs cycling ATDCA/UFCLS/MORPH/PPI, one arrival every 2 ms, gang
+/// widths 1-3: dense enough that a worker is often idle in the pool
+/// between two gangs when its crash instant comes.
+std::vector<JobSpec> crash_sweep_stream() {
+  constexpr JobAlgorithm kCycle[] = {JobAlgorithm::kAtdca,
+                                     JobAlgorithm::kUfcls,
+                                     JobAlgorithm::kMorph, JobAlgorithm::kPpi};
+  std::vector<JobSpec> stream;
+  for (std::size_t k = 0; k < 24; ++k) {
+    JobSpec spec;
+    spec.id = k + 1;
+    spec.algorithm = kCycle[k % 4];
+    spec.arrival_s = 0.002 * static_cast<double>(k);
+    spec.ranks = 1 + static_cast<int>(k % 3);
+    spec.targets = 4;
+    spec.classes = 3;
+    spec.iterations = 2;
+    spec.kernel_radius = 1;
+    spec.skewers = 32;
+    stream.push_back(spec);
+  }
+  return stream;
+}
+
+// A worker may die after its WorkerFree reached the dispatcher, while it
+// waits in the pool.  The next gang command (or the final shutdown) must
+// then detect the death instead of aborting the engine: one crash per run,
+// every worker, at k/40 of the crash-free makespan, in both exec modes.
+TEST(SchedResilienceTest, WorkerDyingWhileFreeNeverAbortsTheSchedule) {
+  const simnet::Platform platform = cluster(7);
+  const hsi::HsiCube scene = test_scene();
+  const std::vector<JobSpec> stream = crash_sweep_stream();
+  const SchedulerConfig config = resilient_config();
+  const ScheduleResult probe =
+      run_schedule(platform, scene, stream, config, fast_options());
+  ASSERT_EQ(probe.completed(), stream.size());
+
+  int aborted = 0;
+  for (int rank = 1; rank < 7; ++rank) {
+    for (int k = 1; k < 40; ++k) {
+      const std::string where =
+          "rank " + std::to_string(rank) + " at " + std::to_string(k) + "/40";
+      vmpi::Options faulty = fast_options();
+      faulty.fault_plan.crashes.push_back(
+          {rank, static_cast<double>(k) / 40.0 * probe.makespan_s});
+      vmpi::Options faulty_threads = faulty;
+      faulty_threads.exec_mode = vmpi::ExecMode::kThreadPerRank;
+      ScheduleResult bounded;
+      ScheduleResult threads;
+      try {
+        bounded = run_schedule(platform, scene, stream, config, faulty);
+        threads = run_schedule(platform, scene, stream, config, faulty_threads);
+      } catch (const Error& e) {
+        ++aborted;
+        ADD_FAILURE() << where << ": " << e.what();
+        continue;
+      }
+      SCOPED_TRACE(where);
+      expect_records_equal(bounded.records, threads.records);
+      expect_outputs_equal(bounded.outputs, threads.outputs);
+      EXPECT_EQ(bounded.lost_ranks, threads.lost_ranks);
+      EXPECT_EQ(bounded.makespan_s, threads.makespan_s);
+      // The dead worker leaves the pool at most once, and nothing else does.
+      EXPECT_LE(bounded.lost_ranks.size(), 1u);
+      for (int lost : bounded.lost_ranks) EXPECT_EQ(lost, rank);
+      for (const JobRecord& record : bounded.records) {
+        EXPECT_NE(record.state, JobState::kPending) << "job " << record.id;
+      }
+    }
+  }
+  EXPECT_EQ(aborted, 0);
+}
+
+/// Resilient, batched, quota-capped schedule run in one exec mode, with
+/// its stable metrics.
+struct BatchedRun {
+  ScheduleResult result;
+  obs::Metrics::Snapshot stable;
+};
+
+BatchedRun run_batched(const simnet::Platform& platform,
+                       const hsi::HsiCube& scene,
+                       const std::vector<JobSpec>& stream,
+                       const SchedulerConfig& config, vmpi::Options options,
+                       vmpi::ExecMode mode) {
+  options.exec_mode = mode;
+  obs::ScopedMetrics scoped;
+  BatchedRun run;
+  run.result = run_schedule(platform, scene, stream, config, options);
+  run.stable = obs::Metrics::stable_subset(obs::Metrics::instance().snapshot());
+  return run;
+}
+
+// Compute-once batching and tenant quotas under resilience: riders bind to
+// their host *job*, so they ride through its leader crash and retry (or
+// share its failure), and every terminal state releases the tenant's
+// in-flight ranks.
+TEST(SchedResilienceTest, BatchedRidersFollowTheirHostThroughRetries) {
+  const simnet::Platform platform = cluster(7);
+  const hsi::HsiCube scene = test_scene();
+  constexpr std::uint64_t kKey = 0x5eed;
+  // Job 1 hosts; job 2 attaches to its first attempt; job 3 (a different
+  // computation) breaches the cap while both are in flight; job 4 arrives
+  // during the retry and attaches to it; job 5 requests the whole cap long
+  // after everything else and is admitted only if the accounting drained.
+  std::vector<JobSpec> stream = long_job(2);
+  stream[0].tenant = "survey";
+  stream[0].batch_key = kKey;
+  JobSpec rider = stream[0];
+  rider.id = 2;
+  rider.arrival_s = 1e-4;
+  rider.ranks = 1;
+  stream.push_back(rider);
+  JobSpec breach;
+  breach.id = 3;
+  breach.algorithm = JobAlgorithm::kPpi;
+  breach.arrival_s = 2e-4;
+  breach.ranks = 2;
+  breach.targets = 3;
+  breach.skewers = 16;
+  breach.tenant = "survey";
+  stream.push_back(breach);
+  SchedulerConfig config = resilient_config();
+  config.batch_shared_keys = true;
+  config.tenant_rank_caps["survey"] = 4;
+
+  // Crash the host's leader halfway through its first attempt, then time
+  // job 4 into the middle of the retry.
+  const ScheduleResult probe =
+      run_schedule(platform, scene, stream, config, fast_options());
+  ASSERT_EQ(probe.completed(), 2u);
+  const JobRecord& host0 = probe.records[0];
+  vmpi::Options faulty = fast_options();
+  faulty.fault_plan.crashes.push_back(
+      {host0.members.front(),
+       host0.dispatch_s + 0.5 * (host0.finish_s - host0.dispatch_s)});
+  const ScheduleResult staged =
+      run_schedule(platform, scene, stream, config, faulty);
+  ASSERT_EQ(staged.records[0].attempts.size(), 2u);
+  const JobAttempt& retry = staged.records[0].attempts[1];
+  JobSpec late_rider = rider;
+  late_rider.id = 4;
+  late_rider.arrival_s = retry.dispatch_s + 0.5 * (retry.end_s - retry.dispatch_s);
+  stream.push_back(late_rider);
+  JobSpec full;
+  full.id = 5;
+  full.algorithm = JobAlgorithm::kPpi;
+  full.arrival_s = staged.makespan_s + 1.0;
+  full.ranks = 4;
+  full.targets = 3;
+  full.skewers = 16;
+  full.tenant = "survey";
+  stream.push_back(full);
+
+  const BatchedRun bounded = run_batched(platform, scene, stream, config,
+                                         faulty,
+                                         vmpi::ExecMode::kBoundedExecutor);
+  const BatchedRun threads = run_batched(platform, scene, stream, config,
+                                         faulty,
+                                         vmpi::ExecMode::kThreadPerRank);
+  expect_records_equal(bounded.result.records, threads.result.records);
+  expect_outputs_equal(bounded.result.outputs, threads.result.outputs);
+  EXPECT_EQ(bounded.result.lost_ranks, threads.result.lost_ranks);
+  EXPECT_EQ(bounded.stable, threads.stable);
+
+  const std::vector<JobRecord>& records = bounded.result.records;
+  const std::vector<JobOutput>& outputs = bounded.result.outputs;
+  const JobRecord& host = records[0];
+  ASSERT_EQ(host.attempts.size(), 2u);
+  EXPECT_EQ(host.attempts[0].outcome, "leader crashed");
+  EXPECT_EQ(host.state, JobState::kCompleted);
+  EXPECT_EQ(host.batch_fanout, 2u);
+  for (const std::size_t r : {std::size_t{1}, std::size_t{3}}) {
+    const JobRecord& ridden = records[r];
+    EXPECT_EQ(ridden.batched_into, host.id) << "job " << ridden.id;
+    EXPECT_EQ(ridden.state, host.state) << "job " << ridden.id;
+    EXPECT_EQ(ridden.error, host.error) << "job " << ridden.id;
+    EXPECT_EQ(ridden.members, host.members) << "job " << ridden.id;
+    EXPECT_EQ(ridden.finish_s, std::max(host.finish_s, ridden.dispatch_s));
+    EXPECT_EQ(ridden.busy_s, 0.0) << "job " << ridden.id;
+    EXPECT_TRUE(ridden.attempts.empty()) << "job " << ridden.id;
+    expect_output_matches_solo(outputs[r], outputs[0], ridden.id);
+  }
+  EXPECT_FALSE(outputs[0].targets.empty());
+  EXPECT_EQ(records[2].state, JobState::kRejected);
+  EXPECT_EQ(records[2].error.rfind("quota:inflight_ranks tenant 'survey'", 0),
+            0u)
+      << records[2].error;
+  EXPECT_EQ(records[4].state, JobState::kCompleted) << records[4].error;
+
+  // With no retry left the host degrades (its baseline checkpoint exists),
+  // and its first-attempt rider shares that verdict and its message.
+  SchedulerConfig once = config;
+  once.resilience.retry.max_attempts = 1;
+  const BatchedRun failed = run_batched(platform, scene, stream, once, faulty,
+                                        vmpi::ExecMode::kBoundedExecutor);
+  const BatchedRun failed_threads =
+      run_batched(platform, scene, stream, once, faulty,
+                  vmpi::ExecMode::kThreadPerRank);
+  expect_records_equal(failed.result.records, failed_threads.result.records);
+  expect_outputs_equal(failed.result.outputs, failed_threads.result.outputs);
+  EXPECT_EQ(failed.stable, failed_threads.stable);
+  const std::vector<JobRecord>& frecords = failed.result.records;
+  EXPECT_EQ(frecords[0].state, JobState::kDegraded);
+  EXPECT_EQ(frecords[1].batched_into, frecords[0].id);
+  EXPECT_EQ(frecords[1].state, JobState::kDegraded);
+  EXPECT_EQ(frecords[1].error, frecords[0].error);
+  EXPECT_FALSE(frecords[1].completed());
+  EXPECT_EQ(frecords[4].state, JobState::kCompleted) << frecords[4].error;
 }
 
 // Many-rank stress: a faulty resilient schedule on a Thunderhead-scale

@@ -151,6 +151,34 @@ TEST(ServeServiceTest, InflightQuotaRejectsAtArrivalWithNamedReason) {
   EXPECT_EQ(result.tenants[0].completed, 2u);
 }
 
+TEST(ServeServiceTest, OverCapLastRequestIsRejectedWithNothingInFlight) {
+  const simnet::Platform platform = cluster(6);
+  const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);
+  // The last request asks for more ranks than its tenant may ever hold,
+  // and arrives after everything else finished: its rejection settles the
+  // stream with no event left for the dispatcher to wait on.
+  std::vector<sched::JobSpec> stream;
+  for (std::size_t k = 0; k < 2; ++k) {
+    sched::JobSpec spec;
+    spec.id = k + 1;
+    spec.algorithm = sched::JobAlgorithm::kAtdca;
+    spec.arrival_s = k == 0 ? 0.0 : 1000.0;
+    spec.ranks = k == 0 ? 2 : 3;
+    spec.targets = 4;
+    spec.tenant = "capped";
+    stream.push_back(spec);
+  }
+  ServiceConfig config;
+  config.quotas["capped"].max_inflight_ranks = 2;
+  const auto result =
+      run_service(platform, scene, stream, config, fast_options());
+  EXPECT_EQ(result.schedule.records[0].state, sched::JobState::kCompleted);
+  EXPECT_EQ(result.schedule.records[1].state, sched::JobState::kRejected);
+  EXPECT_EQ(
+      result.schedule.records[1].error.rfind("quota:inflight_ranks", 0), 0u)
+      << result.schedule.records[1].error;
+}
+
 TEST(ServeServiceTest, BatchingKeepsOutputsBitIdenticalAndFinishesNoLater) {
   const simnet::Platform platform = cluster(5);
   const hsi::HsiCube scene = testing::striped_cube(32, 16, 24, 4);

@@ -20,7 +20,8 @@
 //   top_run --jobs 12 --resilient --crash 3@0.05 --interval 0.02
 //
 // --trace steady|diurnal|bursty|tenant-mix serves a seeded traffic trace
-// (serve/traffic.hpp) with batching on instead of the plain cycle stream;
+// (serve/traffic.hpp) with batching on instead of the plain cycle stream
+// (also with --resilient, where riders follow their host through retries);
 // the dispatcher then emits "tenant:<name>" scopes and the render adds a
 // per-tenant service table (ready/running/riders/in-flight ranks, quota
 // rejections, batched fan-outs).
@@ -305,10 +306,9 @@ int main(int argc, char** argv) {
             static_cast<std::size_t>(args.get_int("replication", 8));
       }
       stream = serve::generate_trace(trace_cfg);
-      // Compute-once batching is a base-dispatcher feature; the retry
-      // control plane cannot host riders, so a resilient trace run serves
-      // every request solo.
-      sched_cfg.batch_shared_keys = !sched_cfg.resilience.enabled;
+      // Compute-once batching in either dispatcher mode: under resilience
+      // a rider follows its host job through retries.
+      sched_cfg.batch_shared_keys = true;
     } else {
       constexpr sched::JobAlgorithm kCycle[] = {
           sched::JobAlgorithm::kAtdca, sched::JobAlgorithm::kPct,
