@@ -7,7 +7,10 @@
 // --replication to change it.  All numbers are deterministic in --seed.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
 #include "simnet/platform.hpp"
+#include "vmpi/engine.hpp"
 
 namespace hprs::bench {
 
@@ -41,35 +45,100 @@ inline const std::vector<std::string>& common_options() {
   return opts;
 }
 
+/// Bench command-line errors follow the tools' convention: a named message
+/// on stderr and exit status 2, never an uncaught exception.
+[[noreturn]] inline void cli_error(const char* argv0, const std::string& what) {
+  std::string prog = argv0 != nullptr ? argv0 : "bench";
+  if (const auto slash = prog.rfind('/'); slash != std::string::npos) {
+    prog.erase(0, slash + 1);
+  }
+  std::fprintf(stderr, "%s: error: %s\n", prog.c_str(), what.c_str());
+  std::exit(2);
+}
+
+/// Runs `parse`, one input-driven step of set-up (a CliArgs getter, the
+/// scene generator); an hprs::Error it throws becomes a named command-line
+/// error through cli_error.
+template <typename Parse>
+auto cli_checked(char** argv, Parse&& parse) {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    cli_error(argv[0], e.what());
+  }
+}
+
+/// Options peeled by the take_*_flag helpers below, in call order, so
+/// --help can list them next to the common ones.
+inline std::vector<std::string>& peeled_options() {
+  static std::vector<std::string> opts;
+  return opts;
+}
+
+/// Parses argv against `options`.  --help / -h print the options (peeled
+/// flags first) and exit 0; unknown options exit 2 through cli_error.
+inline CliArgs parse_cli(int argc, char** argv,
+                         const std::vector<std::string>& options) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("usage: %s [options]\noptions:\n", argv[0]);
+      for (const auto& name : peeled_options()) {
+        std::printf("  --%s\n", name.c_str());
+      }
+      for (const auto& name : options) std::printf("  --%s\n", name.c_str());
+      std::exit(0);
+    }
+  }
+  return cli_checked(argv, [&] { return CliArgs(argc, argv, options); });
+}
+
+/// get_int restricted to values >= 1 (sizes, counts, replication).
+inline std::size_t positive_int(const CliArgs& args, char** argv,
+                                const std::string& name,
+                                std::int64_t fallback) {
+  const std::int64_t v =
+      cli_checked(argv, [&] { return args.get_int(name, fallback); });
+  if (v < 1) cli_error(argv[0], "option --" + name + " must be >= 1");
+  return static_cast<std::size_t>(v);
+}
+
 /// Parses the common options and generates the scene.  `default_rows/cols`
 /// let the Thunderhead benches default to taller scenes (>= 256 rows).
 inline BenchSetup make_setup(int argc, char** argv,
                              std::size_t default_rows = 96,
                              std::size_t default_cols = 96,
                              std::size_t default_replication = 119) {
-  const CliArgs args(argc, argv, common_options());
+  const CliArgs args = parse_cli(argc, argv, common_options());
+  const auto positive = [&](const std::string& name, std::size_t fallback) {
+    return positive_int(args, argv, name,
+                        static_cast<std::int64_t>(fallback));
+  };
   hsi::SceneConfig scene_cfg;
-  scene_cfg.rows = static_cast<std::size_t>(
-      args.get_int("rows", static_cast<std::int64_t>(default_rows)));
-  scene_cfg.cols = static_cast<std::size_t>(
-      args.get_int("cols", static_cast<std::int64_t>(default_cols)));
-  scene_cfg.bands = static_cast<std::size_t>(args.get_int("bands", 224));
-  scene_cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 20010916));
+  scene_cfg.rows = positive("rows", default_rows);
+  scene_cfg.cols = positive("cols", default_cols);
+  scene_cfg.bands = positive("bands", 224);
+  scene_cfg.seed = static_cast<std::uint64_t>(
+      cli_checked(argv, [&] { return args.get_int("seed", 20010916); }));
 
-  BenchSetup setup{hsi::generate_wtc_scene(scene_cfg), {}, false, {}};
-  auto& cfg = setup.config;
-  cfg.targets = static_cast<std::size_t>(args.get_int("targets", 18));
+  core::RunnerConfig cfg;
+  cfg.targets = positive("targets", 18);
   // c is set to the number of spectrally distinguishable constituents of
   // the synthetic map (10 materials + fires), mirroring how the paper set
   // c = 7 from the class count of its USGS map.
-  cfg.classes = static_cast<std::size_t>(args.get_int("classes", 14));
-  cfg.morph_iterations = static_cast<std::size_t>(args.get_int("iters", 5));
-  cfg.kernel_radius = static_cast<std::size_t>(args.get_int("radius", 2));
-  cfg.sad_threshold = args.get_double("threshold", 0.06);
-  cfg.replication = static_cast<std::size_t>(args.get_int(
-      "replication", static_cast<std::int64_t>(default_replication)));
-  setup.csv = args.get_bool("csv", false);
-  setup.summary_path = args.get("summary", "");
+  cfg.classes = positive("classes", 14);
+  cfg.morph_iterations = positive("iters", 5);
+  cfg.kernel_radius = positive("radius", 2);
+  cfg.sad_threshold =
+      cli_checked(argv, [&] { return args.get_double("threshold", 0.06); });
+  cfg.replication = positive("replication", default_replication);
+  const bool csv =
+      cli_checked(argv, [&] { return args.get_bool("csv", false); });
+
+  // Every option is validated before the (costly) scene is generated.
+  BenchSetup setup{
+      cli_checked(argv, [&] { return hsi::generate_wtc_scene(scene_cfg); }),
+      cfg, csv, args.get("summary", "")};
   if (!setup.summary_path.empty()) {
     // Collect metrics for the whole bench process; write_summary embeds the
     // stable subset next to the per-run report fields.
@@ -104,6 +173,15 @@ inline bool write_summary(const BenchSetup& setup, obs::RunSummary& summary) {
   return true;
 }
 
+/// Rank count of the largest platform in `networks` (the widest engine run
+/// a bench makes over them; it sizes the _metadata executor_workers).
+inline std::size_t widest_platform(
+    const std::vector<simnet::Platform>& networks) {
+  std::size_t widest = 0;
+  for (const auto& net : networks) widest = std::max(widest, net.size());
+  return widest;
+}
+
 /// The four 16-node networks of Section 3.1, in the paper's column order.
 inline std::vector<simnet::Platform> paper_networks() {
   return {simnet::fully_heterogeneous(), simnet::fully_homogeneous(),
@@ -124,28 +202,42 @@ inline const std::vector<core::Algorithm>& all_algorithms() {
   return algs;
 }
 
+/// Executor worker threads an engine run on `ranks` ranks occupies: one
+/// per rank under HPRS_THREAD_PER_RANK, else min(ranks, hw_threads).
+inline std::size_t executor_workers_for(std::size_t ranks,
+                                        std::size_t hw_threads) {
+  if (vmpi::thread_per_rank_from_env()) return ranks;
+  return std::min(ranks, std::max<std::size_t>(hw_threads, 1));
+}
+
 /// Writes the shared "_metadata" header line every committed BENCH_*.json
-/// artifact carries: the host's hardware thread count, the effective
-/// HPRS_KERNEL_THREADS setting, and an oversubscription warning flag
-/// (timings measured with more kernel threads than hardware threads are
-/// not comparable to the committed artifact).  scripts/bench_smoke.sh
+/// artifact carries: the host's hardware thread count, the executor worker
+/// threads of the bench's largest run, the effective HPRS_KERNEL_THREADS
+/// setting, and an oversubscription flag, set when executor workers times
+/// kernel threads exceed the hardware threads (timings measured that way
+/// are not comparable to the committed artifact).  scripts/bench_smoke.sh
 /// structurally requires this header in every artifact.
 inline void write_metadata_entry(std::FILE* f, bool trailing_comma,
                                  std::size_t hw_threads,
+                                 std::size_t executor_workers,
                                  std::size_t kernel_threads) {
   std::fprintf(f,
-               "  \"_metadata\": {\"hw_threads\": %zu, \"kernel_threads\": "
-               "%zu, \"oversubscribed\": %s}%s\n",
-               hw_threads, kernel_threads,
-               kernel_threads > hw_threads ? "true" : "false",
+               "  \"_metadata\": {\"hw_threads\": %zu, \"executor_workers\": "
+               "%zu, \"kernel_threads\": %zu, \"oversubscribed\": %s}%s\n",
+               hw_threads, executor_workers, kernel_threads,
+               executor_workers * kernel_threads > hw_threads ? "true"
+                                                              : "false",
                trailing_comma ? "," : "");
 }
 
-inline void write_metadata_entry(std::FILE* f, bool trailing_comma) {
-  write_metadata_entry(
-      f, trailing_comma,
-      static_cast<std::size_t>(std::thread::hardware_concurrency()),
-      linalg::kernel_threads());
+/// The header for a bench whose largest engine run has `max_ranks` ranks.
+inline void write_metadata_entry(std::FILE* f, bool trailing_comma,
+                                 std::size_t max_ranks) {
+  const auto hw =
+      static_cast<std::size_t>(std::thread::hardware_concurrency());
+  write_metadata_entry(f, trailing_comma, hw,
+                       executor_workers_for(max_ranks, hw),
+                       linalg::kernel_threads());
 }
 
 /// One cell of the Tables 5-7 sweep: an algorithm/policy pair on one of the
@@ -206,7 +298,9 @@ inline bool write_kernel_json(const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty(), hw_threads, kernel_threads);
+  // Kernels run on the calling thread and the kernel pool only.
+  write_metadata_entry(f, !records.empty(), hw_threads,
+                       /*executor_workers=*/1, kernel_threads);
   for (std::size_t i = 0; i < records.size(); ++i) {
     std::fprintf(f, "  \"%s\": {\"ns_per_op\": %.3f, \"bytes_per_op\": %.1f",
                  records[i].name.c_str(), records[i].ns_per_op,
@@ -244,11 +338,12 @@ struct StreamRecord {
 /// Writes the records as a flat JSON object keyed "<ALG>_cpu<n>_acc<m>".
 /// Same no-dependency format rationale as write_kernel_json.
 inline bool write_stream_json(const std::string& path,
-                              const std::vector<StreamRecord>& records) {
+                              const std::vector<StreamRecord>& records,
+                              std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(f,
@@ -278,11 +373,12 @@ struct EngineRecord {
 /// Writes the records as a flat JSON object keyed "<ALG>_p<cpus>".  Same
 /// no-dependency format rationale as write_kernel_json.
 inline bool write_engine_json(const std::string& path,
-                              const std::vector<EngineRecord>& records) {
+                              const std::vector<EngineRecord>& records,
+                              std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     std::fprintf(
         f, "  \"%s_p%zu\": {\"host_seconds\": %.4f, \"virtual_seconds\": %.3f}%s\n",
@@ -315,11 +411,12 @@ struct FaultRecord {
 /// "<ALG>_<network>_<scenario>".  Same no-dependency format rationale as
 /// write_kernel_json.
 inline bool write_fault_json(const std::string& path,
-                             const std::vector<FaultRecord>& records) {
+                             const std::vector<FaultRecord>& records,
+                             std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(
@@ -360,11 +457,12 @@ struct SchedRecord {
 /// Writes the records as a flat JSON object keyed "<network>_<policy>".
 /// Same no-dependency format rationale as write_kernel_json.
 inline bool write_sched_json(const std::string& path,
-                             const std::vector<SchedRecord>& records) {
+                             const std::vector<SchedRecord>& records,
+                             std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(
@@ -403,11 +501,12 @@ struct ServeRecord {
 /// Writes the records as a flat JSON object keyed "<scenario>_<mode>".
 /// Same no-dependency format rationale as write_kernel_json.
 inline bool write_serve_json(const std::string& path,
-                             const std::vector<ServeRecord>& records) {
+                             const std::vector<ServeRecord>& records,
+                             std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(
@@ -444,11 +543,12 @@ struct ResilienceRecord {
 /// Writes the records as a flat JSON object keyed by scenario name.
 /// Same no-dependency format rationale as write_kernel_json.
 inline bool write_resilience_json(const std::string& path,
-                                  const std::vector<ResilienceRecord>& records) {
+                                  const std::vector<ResilienceRecord>& records,
+                                  std::size_t max_ranks) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
-  write_metadata_entry(f, !records.empty());
+  write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     std::fprintf(
@@ -468,12 +568,17 @@ inline bool write_resilience_json(const std::string& path,
 /// Peels "--<name> <value>" out of argv before the setup parser (or
 /// benchmark::Initialize, which aborts on unrecognized flags) sees it.
 /// Returns the value, or an empty string when the flag is absent.
+/// A trailing "--<name>" with no value is a command-line error.
 inline std::string take_string_flag(int& argc, char** argv,
                                     const std::string& name) {
+  peeled_options().push_back(name + " <value>");
   std::string value;
   int out = 0;
   for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--" + name && i + 1 < argc) {
+    if (std::string(argv[i]) == "--" + name) {
+      if (i + 1 >= argc) {
+        cli_error(argv[0], "option --" + name + " expects a value");
+      }
       value = argv[++i];
       continue;
     }
@@ -483,8 +588,42 @@ inline std::string take_string_flag(int& argc, char** argv,
   return value;
 }
 
+/// Peels "--<name> <number>" out of argv; `fallback` when absent.  The
+/// value must be a finite number, > 0 (or >= 0 with `allow_zero`).
+inline double take_double_flag(int& argc, char** argv, const std::string& name,
+                               double fallback, bool allow_zero = false) {
+  const std::string text = take_string_flag(argc, argv, name);
+  if (text.empty()) return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value) ||
+      value < 0.0 || (value == 0.0 && !allow_zero)) {
+    cli_error(argv[0], "option --" + name + " expects a " +
+                           (allow_zero ? "non-negative" : "positive") +
+                           " number, got '" + text + "'");
+  }
+  return value;
+}
+
+/// Peels "--<name> <count>" out of argv; `fallback` when absent.  The value
+/// must be an integer >= 1.
+inline std::size_t take_count_flag(int& argc, char** argv,
+                                   const std::string& name,
+                                   std::size_t fallback) {
+  const std::string text = take_string_flag(argc, argv, name);
+  if (text.empty()) return fallback;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || value < 1) {
+    cli_error(argv[0], "option --" + name +
+                           " expects a positive integer, got '" + text + "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 /// Peels a bare "--<name>" switch out of argv; true when it was present.
 inline bool take_bool_flag(int& argc, char** argv, const std::string& name) {
+  peeled_options().push_back(name);
   bool value = false;
   int out = 0;
   for (int i = 0; i < argc; ++i) {

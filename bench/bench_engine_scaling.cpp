@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/cli.hpp"
+#include "bench_common.hpp"
 #include "common/table.hpp"
 #include "simnet/platform.hpp"
 #include "vmpi/comm.hpp"
@@ -65,9 +65,11 @@ void workload(hprs::vmpi::Comm& comm, int rounds) {
 
 int main(int argc, char** argv) {
   using namespace hprs;
-  const CliArgs args(argc, argv, {"rounds", "csv"});
-  const int rounds = static_cast<int>(args.get_int("rounds", 40));
-  const bool csv = args.get_bool("csv", false);
+  const CliArgs args = bench::parse_cli(argc, argv, {"rounds", "csv"});
+  const int rounds =
+      static_cast<int>(bench::positive_int(args, argv, "rounds", 40));
+  const bool csv = bench::cli_checked(
+      argv, [&] { return args.get_bool("csv", false); });
 
   TextTable table({"Ranks", "Executor (s)", "ThreadPerRank (s)", "Speedup",
                    "Virtual (s)"});

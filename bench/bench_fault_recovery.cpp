@@ -117,7 +117,8 @@ int main(int argc, char** argv) {
   bench::emit(table, setup.csv,
               "Fault recovery. Overhead decomposition of the fault-tolerant "
               "schedule under deterministic fault plans.");
-  if (!json_path.empty() && !bench::write_fault_json(json_path, records)) {
+  if (!json_path.empty() && !bench::write_fault_json(json_path, records,
+                                bench::widest_platform(networks))) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty() &&
-      !bench::write_resilience_json(json_path, records)) {
+      !bench::write_resilience_json(json_path, records, net.size())) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

@@ -131,23 +131,6 @@ int run_snapshot_cell(const bench::BenchSetup& setup, std::size_t jobs,
 
 }  // namespace
 
-/// Peels "--<name> <value>" out of argv (make_setup rejects flags it does
-/// not know); returns `fallback` when absent.
-double take_double_flag(int& argc, char** argv, const std::string& name,
-                        double fallback) {
-  double value = fallback;
-  int out = 0;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--" + name && i + 1 < argc) {
-      value = std::stod(argv[++i]);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return value;
-}
-
 int main(int argc, char** argv) {
   const std::string json_path = bench::take_json_flag(argc, argv);
   const std::string snap_path =
@@ -156,10 +139,10 @@ int main(int argc, char** argv) {
   const bool snapshots_only = bench::take_bool_flag(argc, argv,
                                                     "snapshots-only");
   const double snap_interval_s =
-      take_double_flag(argc, argv, "snapshot-interval", 0.5);
-  const auto jobs = static_cast<std::size_t>(
-      take_double_flag(argc, argv, "jobs", 32));
-  const double gap_s = take_double_flag(argc, argv, "gap", 0.2);
+      bench::take_double_flag(argc, argv, "snapshot-interval", 0.5);
+  const std::size_t jobs = bench::take_count_flag(argc, argv, "jobs", 32);
+  const double gap_s = bench::take_double_flag(argc, argv, "gap", 0.2,
+                                               /*allow_zero=*/true);
   const auto setup = bench::make_setup(argc, argv);
 
   if (!snap_path.empty() || !trace_path.empty()) {
@@ -277,7 +260,9 @@ int main(int argc, char** argv) {
     status = 1;
   }
 
-  if (!json_path.empty() && !bench::write_sched_json(json_path, records)) {
+  if (!json_path.empty() &&
+      !bench::write_sched_json(json_path, records,
+                               bench::widest_platform(networks))) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

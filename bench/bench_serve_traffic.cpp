@@ -32,23 +32,6 @@ namespace {
 
 using namespace hprs;
 
-/// Peels "--<name> <value>" out of argv (make_setup rejects flags it does
-/// not know); returns `fallback` when absent.
-double take_double_flag(int& argc, char** argv, const std::string& name,
-                        double fallback) {
-  double value = fallback;
-  int out = 0;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--" + name && i + 1 < argc) {
-      value = std::stod(argv[++i]);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return value;
-}
-
 /// The tenant-mix trace every cell family serves, shrunk to test-scale
 /// algorithm parameters so a request costs milliseconds of virtual time.
 std::vector<sched::JobSpec> make_trace(serve::TrafficShape shape,
@@ -111,9 +94,9 @@ bench::ServeRecord make_record(const std::string& scenario,
 
 int main(int argc, char** argv) {
   const std::string json_path = bench::take_json_flag(argc, argv);
-  const auto jobs = static_cast<std::size_t>(
-      take_double_flag(argc, argv, "jobs", 1000));
-  const double duration_s = take_double_flag(argc, argv, "duration", 600.0);
+  const std::size_t jobs = bench::take_count_flag(argc, argv, "jobs", 1000);
+  const double duration_s =
+      bench::take_double_flag(argc, argv, "duration", 600.0);
   const auto setup = bench::make_setup(argc, argv);
 
   const auto networks = bench::paper_networks();
@@ -213,7 +196,8 @@ int main(int argc, char** argv) {
               "Scene-service traffic. Tenant-mix traces on the fully "
               "heterogeneous NOW (virtual time).");
 
-  if (!json_path.empty() && !bench::write_serve_json(json_path, records)) {
+  if (!json_path.empty() &&
+      !bench::write_serve_json(json_path, records, net->size())) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
               "Streamed tiling vs monolithic staging on accelerated gangs "
               "(virtual seconds; win = makespan saved by per-tile overlap).");
   if (!json_path.empty() &&
-      !bench::write_stream_json(json_path, stream_records)) {
+      !bench::write_stream_json(
+          json_path, stream_records,
+          bench::widest_platform(bench::paper_networks()))) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

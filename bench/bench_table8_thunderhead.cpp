@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   bench::emit(table, setup.csv,
               "Table 8. Execution times (seconds) of the heterogeneous "
               "algorithms on Thunderhead.");
-  if (!json_path.empty() && !bench::write_engine_json(json_path, records)) {
+  if (!json_path.empty() && !bench::write_engine_json(json_path, records,
+                                 bench::thunderhead_cpus().back())) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

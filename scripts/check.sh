@@ -63,9 +63,10 @@ if [[ "$run_sanitizers" == "1" ]]; then
   echo "== tier 1e: threaded kernels under TSan (HPRS_KERNEL_THREADS=4) =="
   # The tile-graph suite rides along: the streamed tiled driver and the
   # mixed-precision tile kernels must stay race-free at 4 kernel threads.
+  # So does the eigen suite: its memo is shared by concurrent callers.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
                 morph_sad_cache_test linalg_tile_graph_test
-                fastpath_equivalence_test)
+                fastpath_equivalence_test linalg_eigen_test)
   cmake --build "$repo/build-tsan" -j "$jobs" --target "${kernel_tests[@]}"
   for t in "${kernel_tests[@]}"; do
     HPRS_KERNEL_THREADS=4 "$repo/build-tsan/tests/$t"

@@ -349,7 +349,9 @@ PctBundle build_bundle(vmpi::Comm& comm,
   }
   comm.compute(cov_parts.size() * tri + tri, vmpi::Phase::kSequential);
 
-  const auto eig = linalg::jacobi_eigen(cov);
+  // Memoized: repeated covariances (shared scenes and partitions) reuse
+  // the bit-identical decomposition, sweep count included.
+  const auto eig = linalg::jacobi_eigen_memo(cov);
   comm.compute(static_cast<Count>(eig.sweeps) *
                    linalg::flops::jacobi_sweep(bands),
                vmpi::Phase::kSequential);

@@ -7,6 +7,7 @@
 // clean analytic flop count (flops::jacobi_sweep) for the virtual-time model.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -29,5 +30,20 @@ struct EigenDecomposition {
 [[nodiscard]] EigenDecomposition jacobi_eigen(const Matrix& symmetric,
                                               double tol = 1e-12,
                                               int max_sweeps = 64);
+
+/// Entries kept by jacobi_eigen_memo (least recently used evicted first):
+/// about 6.4 MB at 224 bands.
+inline constexpr std::size_t kEigenMemoEntries = 8;
+
+/// jacobi_eigen behind a process-wide, thread-safe LRU memo keyed on the
+/// input's dimensions and exact bytes plus `tol` and `max_sweeps`.  A hit
+/// returns a bit-identical copy of the decomposition, sweep count included,
+/// so callers charge the same virtual time either way.  Failed solves
+/// throw as jacobi_eigen does and are not cached.  Publishes host-domain
+/// counters linalg.eigen.memo_hits / memo_misses and times each uncached
+/// solve as the host timer linalg.eigen.
+[[nodiscard]] EigenDecomposition jacobi_eigen_memo(const Matrix& symmetric,
+                                                   double tol = 1e-12,
+                                                   int max_sweeps = 64);
 
 }  // namespace hprs::linalg

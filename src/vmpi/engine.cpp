@@ -38,14 +38,6 @@ std::chrono::steady_clock::time_point deadline_after(double seconds) {
              std::chrono::duration<double>(seconds));
 }
 
-/// HPRS_THREAD_PER_RANK (non-empty, non-"0") forces the legacy
-/// thread-per-rank mode, e.g. for differential testing of the executor.
-bool env_thread_per_rank() {
-  const char* v = std::getenv("HPRS_THREAD_PER_RANK");
-  if (v == nullptr || *v == '\0') return false;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 std::size_t resolve_fiber_stack_bytes(std::size_t option_bytes) {
   // Validated parse: a malformed HPRS_FIBER_STACK_KB throws with the
   // variable named rather than silently running on the default stack.
@@ -65,6 +57,14 @@ void resize_and_clear(Vec& v, std::size_t n) {
 }
 
 }  // namespace
+
+// Forces the legacy thread-per-rank mode, e.g. for differential testing of
+// the executor.
+bool thread_per_rank_from_env() {
+  const char* v = std::getenv("HPRS_THREAD_PER_RANK");
+  if (v == nullptr || *v == '\0') return false;
+  return !(v[0] == '0' && v[1] == '\0');
+}
 
 // ---------------------------------------------------------------------------
 // RunReport
@@ -172,7 +172,8 @@ RunReport Engine::run(const std::function<void(Comm&)>& program) {
   const int p = size();
   const auto pu = static_cast<std::size_t>(p);
   const bool thread_per_rank =
-      options_.exec_mode == ExecMode::kThreadPerRank || env_thread_per_rank();
+      options_.exec_mode == ExecMode::kThreadPerRank ||
+      thread_per_rank_from_env();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     obs_ = ObsCounters{};

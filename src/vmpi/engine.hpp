@@ -151,6 +151,10 @@ enum class ExecMode : std::uint8_t {
   kThreadPerRank,    ///< one OS thread per rank
 };
 
+/// True when HPRS_THREAD_PER_RANK (non-empty, non-"0") forces
+/// kThreadPerRank for every engine in the process.
+[[nodiscard]] bool thread_per_rank_from_env();
+
 struct Options {
   /// Fixed virtual latency added to every message.
   double per_message_latency_s = 1e-4;
