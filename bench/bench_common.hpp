@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -368,7 +370,20 @@ struct EngineRecord {
   std::size_t cpus = 0;
   double host_seconds = 0.0;
   double virtual_seconds = 0.0;
+  /// Target rows the run's ATDCA/UFCLS correlation planes computed and
+  /// reused (host counters core.corr_plane.rows_*; 0 for PCT/MORPH).
+  std::uint64_t corr_rows_computed = 0;
+  std::uint64_t corr_rows_reused = 0;
 };
+
+/// Current total of the metrics counter `name` (0 when it was never
+/// recorded, e.g. while collection is off).
+inline std::uint64_t metric_count(std::string_view name) {
+  for (const auto& [key, value] : obs::Metrics::instance().snapshot()) {
+    if (key == name) return value.count;
+  }
+  return 0;
+}
 
 /// Writes the records as a flat JSON object keyed "<ALG>_p<cpus>".  Same
 /// no-dependency format rationale as write_kernel_json.
@@ -381,9 +396,13 @@ inline bool write_engine_json(const std::string& path,
   write_metadata_entry(f, !records.empty(), max_ranks);
   for (std::size_t i = 0; i < records.size(); ++i) {
     std::fprintf(
-        f, "  \"%s_p%zu\": {\"host_seconds\": %.4f, \"virtual_seconds\": %.3f}%s\n",
+        f,
+        "  \"%s_p%zu\": {\"host_seconds\": %.4f, \"virtual_seconds\": %.3f, "
+        "\"corr_rows_computed\": %llu, \"corr_rows_reused\": %llu}%s\n",
         records[i].algorithm.c_str(), records[i].cpus,
         records[i].host_seconds, records[i].virtual_seconds,
+        static_cast<unsigned long long>(records[i].corr_rows_computed),
+        static_cast<unsigned long long>(records[i].corr_rows_reused),
         i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "}\n");

@@ -6,11 +6,13 @@
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
 // eccentricity pass, the PCT covariance accumulation, and the ATDCA OSP
-// sweep.  Pass --json <path> (conventionally BENCH_kernels.json) for a
+// sweep; the *_Plane benches measure one incremental ATDCA/UFCLS round.
+// Pass --json <path> (conventionally BENCH_kernels.json) for a
 // machine-readable ns/op + bytes/op summary.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -364,7 +366,9 @@ BENCHMARK(BM_PctCovariance_MixedTile)
 
 void BM_OspSweep(benchmark::State& state, bool reference) {
   // ATDCA's per-round argmax of the OSP score over a 32x32 block with nine
-  // current targets.
+  // current targets.  The fast path builds the block's correlation plane
+  // from scratch every iteration (all nine rows), as the fault-tolerant
+  // chunk handler does; BM_OspSweep_Plane measures the incremental round.
   const linalg::ScopedKernelPath path(reference);
   const std::size_t t = 9;
   const std::size_t bands = 224;
@@ -373,8 +377,10 @@ void BM_OspSweep(benchmark::State& state, bool reference) {
   const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
   linalg::ScratchArena arena;
   for (auto _ : state) {
+    core::detail::CorrPlane plane;
+    if (!reference) plane.sync(cube, 0, cube.rows(), targets, t);
     benchmark::DoNotOptimize(core::detail::osp_argmax_sweep(
-        targets, gram, cube, 0, cube.rows(), arena));
+        targets, gram, cube, 0, cube.rows(), plane, arena));
   }
   state.counters["bytes_per_op"] =
       static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
@@ -409,11 +415,15 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
       0, cube.rows(), cube.cols() * cube.bands() * sizeof(float), 8);
   linalg::ScratchArena arena;
   for (auto _ : state) {
-    auto best = core::detail::osp_argmax_sweep(
-        targets, gram, cube, tiles[0].row_begin, tiles[0].row_end, arena);
+    core::detail::CorrPlane plane;
+    plane.sync(cube, 0, cube.rows(), targets, t);
+    auto best = core::detail::osp_argmax_sweep(targets, gram, cube,
+                                               tiles[0].row_begin,
+                                               tiles[0].row_end, plane, arena);
     for (std::size_t i = 1; i < tiles.size(); ++i) {
       const auto cand = core::detail::osp_argmax_sweep(
-          targets, gram, cube, tiles[i].row_begin, tiles[i].row_end, arena);
+          targets, gram, cube, tiles[i].row_begin, tiles[i].row_end, plane,
+          arena);
       if (cand.score > best.score) best = cand;
     }
     benchmark::DoNotOptimize(best);
@@ -424,6 +434,82 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
 }
 BENCHMARK(BM_OspSweep_Tiled)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/// Two t-target matrices that share their first t-1 rows.  Syncing one
+/// correlation plane to each in turn recomputes exactly the last row: the
+/// steady state of a Hetero-ATDCA/UFCLS round, which appends one target.
+std::array<linalg::Matrix, 2> round_targets(std::size_t t,
+                                            std::size_t bands) {
+  std::array<linalg::Matrix, 2> u{random_targets(t, bands, 16),
+                                  random_targets(t, bands, 16)};
+  const linalg::Matrix last = random_targets(1, bands, 17);
+  std::copy(last.row(0).begin(), last.row(0).end(), u[1].row(t - 1).begin());
+  return u;
+}
+
+void BM_OspSweep_Plane(benchmark::State& state) {
+  // One ATDCA round at t targets over a 32x32 block: the plane adds the
+  // newest target's row, then the sweep back-solves every pixel.
+  const linalg::ScopedKernelPath path(false);
+  const auto t = static_cast<std::size_t>(state.range(0));
+  const std::size_t bands = 224;
+  const hsi::HsiCube cube = random_cube(32, 32, bands, 15);
+  const auto u = round_targets(t, bands);
+  const std::array<linalg::Cholesky, 2> gram{
+      linalg::Cholesky(core::detail::ridged_row_gram(u[0])),
+      linalg::Cholesky(core::detail::ridged_row_gram(u[1]))};
+  core::detail::CorrPlane plane;
+  linalg::ScratchArena arena;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    k ^= 1;
+    plane.sync(cube, 0, cube.rows(), u[k], t);
+    benchmark::DoNotOptimize(core::detail::osp_argmax_sweep(
+        u[k], gram[k], cube, 0, cube.rows(), plane, arena));
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
+      static_cast<double>(cube.pixel_count() * t) * sizeof(double);
+}
+BENCHMARK(BM_OspSweep_Plane)
+    ->ArgName("t")->Arg(9)->Arg(18)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FclsSweep(benchmark::State& state, bool incremental) {
+  // One UFCLS round at t targets over a 32x32 block.  Fast: the plane is
+  // built from scratch (all t rows), as the fault-tolerant chunk handler
+  // does; Plane: it adds only the newest target's row.
+  const linalg::ScopedKernelPath path(false);
+  const auto t = static_cast<std::size_t>(state.range(0));
+  const std::size_t bands = 224;
+  const hsi::HsiCube cube = random_cube(32, 32, bands, 15);
+  const auto u = round_targets(t, bands);
+  const std::array<linalg::Unmixer, 2> unmixer{linalg::Unmixer(u[0]),
+                                               linalg::Unmixer(u[1])};
+  core::detail::CorrPlane plane;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    if (incremental) {
+      k ^= 1;
+    } else {
+      plane = core::detail::CorrPlane();
+    }
+    plane.sync(cube, 0, cube.rows(), u[k], t);
+    benchmark::DoNotOptimize(core::detail::fcls_error_sweep(
+        cube, u[k], unmixer[k], 0, cube.rows(), plane));
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
+      static_cast<double>(cube.pixel_count() * t) * sizeof(double);
+}
+void BM_FclsSweep_Fast(benchmark::State& state) { BM_FclsSweep(state, false); }
+void BM_FclsSweep_Plane(benchmark::State& state) { BM_FclsSweep(state, true); }
+BENCHMARK(BM_FclsSweep_Fast)
+    ->ArgName("t")->Arg(9)->Arg(18)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FclsSweep_Plane)
+    ->ArgName("t")->Arg(9)->Arg(18)
     ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects ns/op + bytes/op per run for

@@ -12,7 +12,9 @@
 // (algorithm, CPUs) cell -- the cost of simulating the run, as opposed to
 // the virtual time the run reports -- which is how engine-scaling changes
 // are tracked (large p exercises the engine's scheduling/wakeup paths far
-// more than its numerics).
+// more than its numerics).  Each ATDCA/UFCLS record also carries the
+// target rows its correlation planes computed and reused, which is where
+// those algorithms' host time goes.
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -30,6 +32,9 @@ int main(int argc, char** argv) {
   }
   TextTable table(std::move(header));
 
+  // The plane counters are host-domain metrics: collect them for the
+  // --json records even when no --summary turned collection on.
+  if (!json_path.empty()) obs::Metrics::instance().set_enabled(true);
   std::vector<bench::EngineRecord> records;
   for (const std::size_t cpus : bench::thunderhead_cpus()) {
     std::vector<std::string> row = {
@@ -37,15 +42,21 @@ int main(int argc, char** argv) {
     for (const auto alg : bench::all_algorithms()) {
       auto cfg = setup.config;
       cfg.algorithm = alg;
+      const std::uint64_t computed =
+          bench::metric_count("core.corr_plane.rows_computed");
+      const std::uint64_t reused =
+          bench::metric_count("core.corr_plane.rows_reused");
       const auto host_start = std::chrono::steady_clock::now();
       const auto out = core::run_algorithm(simnet::thunderhead(cpus),
                                            setup.scene.cube, cfg);
       const std::chrono::duration<double> host_elapsed =
           std::chrono::steady_clock::now() - host_start;
       row.push_back(TextTable::num(out.report.total_time, 0));
-      records.push_back(bench::EngineRecord{core::to_string(alg), cpus,
-                                            host_elapsed.count(),
-                                            out.report.total_time});
+      records.push_back(bench::EngineRecord{
+          core::to_string(alg), cpus, host_elapsed.count(),
+          out.report.total_time,
+          bench::metric_count("core.corr_plane.rows_computed") - computed,
+          bench::metric_count("core.corr_plane.rows_reused") - reused});
     }
     table.add_row(std::move(row));
   }

@@ -37,11 +37,17 @@ if [[ "$run_sanitizers" == "1" ]]; then
     -DHPRS_ENABLE_SANITIZERS=ON \
     -DHPRS_BUILD_BENCH=OFF \
     -DHPRS_BUILD_EXAMPLES=OFF
+  asan_tests=(linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test
+              core_corr_plane_test linalg_fcls_test)
   cmake --build "$repo/build-asan" -j "$jobs" --target \
-    linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test
-  for t in linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test; do
+    "${asan_tests[@]}" sched_resilience_test
+  for t in "${asan_tests[@]}"; do
     "$repo/build-asan/tests/$t"
   done
+  # A preempted gang leader catches the PreemptSignal and then releases its
+  # gang, which parks the fiber; LeakSanitizer catches an exception object
+  # retired on the wrong executor thread.
+  "$repo/build-asan/tests/sched_resilience_test" --gtest_filter='*Preempt*'
 
   echo "== tier 1c: vmpi engine + scheduler under TSan, both execution modes =="
   vmpi_tests=(vmpi_engine_test vmpi_collectives_test vmpi_engine_stress_test
@@ -63,10 +69,12 @@ if [[ "$run_sanitizers" == "1" ]]; then
   echo "== tier 1e: threaded kernels under TSan (HPRS_KERNEL_THREADS=4) =="
   # The tile-graph suite rides along: the streamed tiled driver and the
   # mixed-precision tile kernels must stay race-free at 4 kernel threads.
-  # So does the eigen suite: its memo is shared by concurrent callers.
+  # So does the eigen suite: its memo is shared by concurrent callers,
+  # and the correlation-plane suite: its OSP/FCLS sweeps run in lanes.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
                 morph_sad_cache_test linalg_tile_graph_test
-                fastpath_equivalence_test linalg_eigen_test)
+                fastpath_equivalence_test linalg_eigen_test
+                core_corr_plane_test)
   cmake --build "$repo/build-tsan" -j "$jobs" --target "${kernel_tests[@]}"
   for t in "${kernel_tests[@]}"; do
     HPRS_KERNEL_THREADS=4 "$repo/build-tsan/tests/$t"

@@ -94,9 +94,15 @@ ft::Program atdca_ft_program(const hsi::HsiCube& cube,
         const linalg::Cholesky gram(detail::ridged_row_gram(u));
         c.compute(linalg::flops::gram(cube.bands(), u.rows()) +
                   linalg::flops::cholesky(u.rows()));
+        // A plane per call: chunks move between workers across phases, so
+        // the handler keeps no state from one command to the next.
+        detail::CorrPlane plane;
+        plane.sync(cube, chunk.part.row_begin, chunk.part.row_end, u,
+                   u.rows());
         linalg::ScratchArena arena;
-        const Candidate best = detail::osp_argmax_sweep(
-            u, gram, cube, chunk.part.row_begin, chunk.part.row_end, arena);
+        const Candidate best =
+            detail::osp_argmax_sweep(u, gram, cube, chunk.part.row_begin,
+                                     chunk.part.row_end, plane, arena);
         c.compute(static_cast<Count>(chunk.part.owned_rows()) * cube.cols() *
                   linalg::flops::osp_score(cube.bands(), u.rows()) *
                   config.replication);
@@ -195,6 +201,9 @@ void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   // shared: all ranks sweep against one immutable copy of U; only the
   // master re-materializes an owned matrix to grow it.
   linalg::ScratchArena arena;  // strip-sweep scratch, reused every round
+  // U^T x and ||x||^2 of the owned rows; each round adds only the newest
+  // target's row, and the tiles below read their subranges of it.
+  detail::CorrPlane plane;
   while (true) {
     // Only the root's payload (and wire size) reaches the engine.
     const std::size_t u_bytes =
@@ -213,11 +222,13 @@ void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
     // Tiled OSP sweep: osp_argmax_sweep returns the first row-major
     // maximum of its range, so folding per-tile bests strictly-greater in
     // tile order reproduces the monolithic sweep's pick exactly.
+    plane.sync(cube, view.part.row_begin, view.part.row_end, *u_view,
+               config.targets);
     Candidate local_best{0, 0, -1.0};
     detail::tiled_sweep(
         comm, tiles, config.replication, [&](const linalg::TileDesc& t) {
           const Candidate cand = detail::osp_argmax_sweep(
-              *u_view, gram, cube, t.row_begin, t.row_end, arena);
+              *u_view, gram, cube, t.row_begin, t.row_end, plane, arena);
           if (cand.score > local_best.score) local_best = cand;
           return static_cast<Count>(t.rows()) * cube.cols() *
                  linalg::flops::osp_score(cube.bands(), t_cur);

@@ -1,11 +1,13 @@
 #include "core/spmd_common.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "hsi/metrics.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/thread_pool.hpp"
 #include "linalg/vec.hpp"
+#include "obs/metrics.hpp"
 
 namespace hprs::core::detail {
 
@@ -92,10 +94,119 @@ double osp_score(const linalg::Matrix& targets,
   return xx - bz;
 }
 
+CorrPlane::Key CorrPlane::key_of(const hsi::HsiCube& cube,
+                                 std::size_t row_begin, std::size_t row_end,
+                                 std::size_t stride) {
+  return Key{cube.samples().data(), cube.rows(),  cube.cols(), cube.bands(),
+             row_begin,             row_end,      stride};
+}
+
+void CorrPlane::sync(const hsi::HsiCube& cube, std::size_t row_begin,
+                     std::size_t row_end, const linalg::Matrix& u,
+                     std::size_t stride) {
+  HPRS_REQUIRE(row_begin <= row_end && row_end <= cube.rows(),
+               "correlation plane rows out of range");
+  HPRS_REQUIRE(u.rows() <= stride,
+               "more targets than the correlation plane's stride");
+  HPRS_REQUIRE(u.rows() == 0 || u.cols() == cube.bands(),
+               "target band count mismatch");
+  const std::size_t bands = cube.bands();
+  const std::size_t pixels = (row_end - row_begin) * cube.cols();
+  const float* x = cube.samples().data() + row_begin * cube.cols() * bands;
+  const Key key = key_of(cube, row_begin, row_end, stride);
+  if (!(key == key_)) {
+    key_ = key;
+    held_ = 0;
+    rows_.clear();
+    corr_.resize(pixels * stride);
+    xx_.resize(pixels);
+    linalg::norm_sq_strip(x, pixels, bands, xx_);
+  }
+  // Keep the held rows up to the first one U no longer matches bytewise.
+  std::size_t keep = 0;
+  while (keep < held_ && keep < u.rows() &&
+         std::memcmp(rows_.data() + keep * bands, u.row(keep).data(),
+                     bands * sizeof(double)) == 0) {
+    ++keep;
+  }
+  const std::size_t fresh = u.rows() - keep;
+  if (fresh > 0) {
+    linalg::Matrix new_rows(fresh, bands);
+    for (std::size_t i = 0; i < fresh; ++i) {
+      std::copy_n(u.row(keep + i).data(), bands, new_rows.row(i).data());
+    }
+    // dot_strip writes a strip's products pixel-major with stride `fresh`;
+    // each lands in its pixel's slots [keep, keep + fresh) of the plane.
+    constexpr std::size_t kStrip = 256;
+    std::vector<double> strip(kStrip * fresh);
+    for (std::size_t p0 = 0; p0 < pixels; p0 += kStrip) {
+      const std::size_t m = std::min(kStrip, pixels - p0);
+      linalg::dot_strip(new_rows, x + p0 * bands, m, strip);
+      for (std::size_t p = 0; p < m; ++p) {
+        std::copy_n(strip.data() + p * fresh, fresh,
+                    corr_.data() + (p0 + p) * stride + keep);
+      }
+    }
+  }
+  rows_.resize(keep * bands);
+  rows_.insert(rows_.end(), u.data().begin() + keep * bands, u.data().end());
+  held_ = u.rows();
+  auto& metrics = obs::Metrics::instance();
+  metrics.add("core.corr_plane.rows_computed", fresh, obs::Domain::kHost);
+  metrics.add("core.corr_plane.rows_reused", keep, obs::Domain::kHost);
+}
+
+bool CorrPlane::holds(const hsi::HsiCube& cube, std::size_t row_begin,
+                      std::size_t row_end, const linalg::Matrix& u) const {
+  const Key key = key_of(cube, key_.row_begin, key_.row_end, key_.stride);
+  return key == key_ && row_begin >= key_.row_begin &&
+         row_end <= key_.row_end && held_ == u.rows() &&
+         (held_ == 0 || std::memcmp(rows_.data(), u.data().data(),
+                                    rows_.size() * sizeof(double)) == 0);
+}
+
+namespace {
+
+/// Runs scan(lane, r0, r1) over contiguous row blocks of [row_begin,
+/// row_end), one block per lane, inside a kernel-thread region.  Each lane
+/// scans its rows in the serial row-major order with strictly-greater
+/// updates into lane.best; folding the lanes' bests in ascending lane
+/// order with the same comparison reproduces the serial sweep's first
+/// maximum exactly, so the thread count cannot change the pick.
+template <typename Lane, typename Scan>
+Candidate lane_argmax(std::vector<Lane>& lanes, std::size_t row_begin,
+                      std::size_t row_end, Scan&& scan) {
+  const std::size_t workers = lanes.size();
+  const std::size_t n_rows = row_end > row_begin ? row_end - row_begin : 0;
+  const std::size_t per = (n_rows + workers - 1) / workers;
+  linalg::parallel_region(workers, [&](std::size_t worker,
+                                       std::size_t actual) {
+    // `actual` can be smaller than the planned lane count (a nested region
+    // runs inline); stride over lanes so every block is still scanned.
+    for (std::size_t w = worker; w < workers; w += actual) {
+      const std::size_t r0 = row_begin + w * per;
+      scan(lanes[w], r0, std::min(row_end, r0 + per));
+    }
+  });
+  Candidate best{0, 0, -1.0};
+  for (const auto& lane : lanes) {
+    if (lane.best.score > best.score) best = lane.best;
+  }
+  return best;
+}
+
+/// Lane count of a row sweep: one per kernel thread, at most one per row.
+std::size_t sweep_lanes(std::size_t row_begin, std::size_t row_end) {
+  const std::size_t n_rows = row_end > row_begin ? row_end - row_begin : 0;
+  return std::max<std::size_t>(1, std::min(linalg::kernel_threads(), n_rows));
+}
+
+}  // namespace
+
 Candidate osp_argmax_sweep(const linalg::Matrix& targets,
                            const linalg::Cholesky& gram_factor,
                            const hsi::HsiCube& cube, std::size_t row_begin,
-                           std::size_t row_end,
+                           std::size_t row_end, const CorrPlane& plane,
                            linalg::ScratchArena& arena) {
   Candidate best{0, 0, -1.0};
   const std::size_t cols = cube.cols();
@@ -108,46 +219,38 @@ Candidate osp_argmax_sweep(const linalg::Matrix& targets,
     }
     return best;
   }
+  HPRS_REQUIRE(plane.holds(cube, row_begin, row_end, targets),
+               "correlation plane does not hold the sweep's rows and targets");
 
+  // Each lane stages a 64-pixel strip of the plane (b packed at stride t,
+  // plus ||x||^2) in its arena buffers, then back-solves it pixel by pixel.
+  // The staging costs t copies against the t^2 solve per pixel and is the
+  // scratch the stable, golden-pinned linalg.scratch_high_water_doubles
+  // gauge reports.  The arena's chunks are stable, so spans taken up front
+  // survive the region.
   constexpr std::size_t kStrip = 64;
   const std::size_t t = targets.rows();
-  const std::size_t bands = cube.bands();
-  const std::size_t n_rows = row_end > row_begin ? row_end - row_begin : 0;
-  // Contiguous row-block ownership with per-worker scratch (the arena's
-  // chunks are stable, so spans taken up front survive the region).  Each
-  // worker scans its rows in the serial row-major order with
-  // strictly-greater updates; folding the per-worker bests in ascending
-  // worker order with the same comparison reproduces the serial sweep's
-  // first-maximum exactly, so the thread count cannot change the pick.
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(linalg::kernel_threads(), n_rows));
-  arena.reset();
-  struct WorkerLane {
+  struct Lane {
     std::span<double> b, xx, z;
     Candidate best{0, 0, -1.0};
   };
-  std::vector<WorkerLane> lanes(workers);
+  std::vector<Lane> lanes(sweep_lanes(row_begin, row_end));
+  arena.reset();
   for (auto& lane : lanes) {
     lane.b = arena.take(kStrip * t);
     lane.xx = arena.take(kStrip);
     lane.z = arena.take(t);
   }
-  linalg::parallel_region(workers, [&](std::size_t worker,
-                                       std::size_t actual) {
-    // `actual` can be smaller than the planned lane count (a nested region
-    // runs inline); stride over lanes so every block is still scanned.
-    for (std::size_t w = worker; w < workers; w += actual) {
-    WorkerLane& lane = lanes[w];
-    const std::size_t per = (n_rows + workers - 1) / workers;
-    const std::size_t r0 = row_begin + w * per;
-    const std::size_t r1 = std::min(row_end, r0 + per);
+  return lane_argmax(lanes, row_begin, row_end,
+                     [&](Lane& lane, std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      const float* row = cube.pixel(r, 0).data();
       for (std::size_t c0 = 0; c0 < cols; c0 += kStrip) {
         const std::size_t m = std::min(kStrip, cols - c0);
-        const float* x = row + c0 * bands;
-        linalg::dot_strip(targets, x, m, lane.b);
-        linalg::norm_sq_strip(x, m, bands, lane.xx);
+        for (std::size_t p = 0; p < m; ++p) {
+          const std::span<const double> bp = plane.corr(r, c0 + p);
+          std::copy(bp.begin(), bp.end(), lane.b.begin() + p * t);
+          lane.xx[p] = plane.norm_sq(r, c0 + p);
+        }
         for (std::size_t p = 0; p < m; ++p) {
           const std::span<const double> bp = lane.b.subspan(p * t, t);
           gram_factor.solve_into(bp, lane.z);
@@ -157,12 +260,57 @@ Candidate osp_argmax_sweep(const linalg::Matrix& targets,
         }
       }
     }
+  });
+}
+
+ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
+                               const linalg::Matrix& u,
+                               const linalg::Unmixer& unmixer,
+                               std::size_t row_begin, std::size_t row_end,
+                               const CorrPlane& plane) {
+  using linalg::flops::Count;
+  ErrorSweepOut out;
+  const std::size_t t_cur = u.rows();
+  const std::size_t bands = cube.bands();
+  const std::size_t cols = cube.cols();
+  if (linalg::use_reference_kernels()) {
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const auto unmix = unmixer.fcls(cube.pixel(r, c));
+        out.flops += linalg::flops::fcls(
+            bands, t_cur, static_cast<Count>(unmix.iterations) + 1);
+        if (unmix.error_sq > out.best.score) {
+          out.best = Candidate{r, c, unmix.error_sq};
+        }
+      }
+    }
+    return out;
+  }
+  HPRS_REQUIRE(plane.holds(cube, row_begin, row_end, u),
+               "correlation plane does not hold the sweep's rows and targets");
+
+  struct Lane {
+    linalg::FclsScratch scratch;
+    Count flops = 0;
+    Candidate best{0, 0, -1.0};
+  };
+  std::vector<Lane> lanes(sweep_lanes(row_begin, row_end));
+  out.best = lane_argmax(lanes, row_begin, row_end,
+                         [&](Lane& lane, std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const linalg::FclsStats unmix = unmixer.fcls_with_corr(
+            plane.corr(r, c), plane.norm_sq(r, c), lane.scratch);
+        lane.flops += linalg::flops::fcls(
+            bands, t_cur, static_cast<Count>(unmix.iterations) + 1);
+        if (unmix.error_sq > lane.best.score) {
+          lane.best = Candidate{r, c, unmix.error_sq};
+        }
+      }
     }
   });
-  for (const auto& lane : lanes) {
-    if (lane.best.score > best.score) best = lane.best;
-  }
-  return best;
+  for (const auto& lane : lanes) out.flops += lane.flops;
+  return out;
 }
 
 linalg::Matrix ridged_row_gram(const linalg::Matrix& u) {

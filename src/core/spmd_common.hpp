@@ -7,6 +7,8 @@
 #include "core/partition.hpp"
 #include "core/types.hpp"
 #include "hsi/cube.hpp"
+#include "linalg/fcls.hpp"
+#include "linalg/flops.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
@@ -121,20 +123,106 @@ void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
                                const linalg::Cholesky& gram_factor,
                                std::span<const float> pixel);
 
+/// A rank's correlation plane for the ATDCA/UFCLS target sweeps: b = U^T x
+/// (pixel-major, `stride` values per pixel, target i at offset i) and
+/// ||x||^2 for every pixel of rows [row_begin, row_end) of one cube.
+///
+/// Both algorithms append one target to U per round, and every element
+/// b_i(x) depends on target row i and pixel x alone: linalg::dot_strip
+/// gives each (target, pixel) element its own ascending-k addition chain
+/// whatever the number of rows it is handed.  So a round only has to
+/// compute the new target rows; the rows already held are bit-identical to
+/// a from-scratch product.  sync() checks the plane's validity key -- the
+/// cube (sample address and shape), the row range, the band count, the
+/// stride and a bytewise copy of each held target row -- and recomputes
+/// whatever the key no longer covers.  The cube's samples must not change
+/// while a plane refers to them.
+///
+/// Memory: owned pixels x stride doubles plus one double per pixel.
+class CorrPlane {
+ public:
+  /// Brings the plane up to date with `u` over rows [row_begin, row_end)
+  /// of `cube`.  A changed cube, row range, band count or stride resets
+  /// the plane.  Otherwise the held target rows are kept up to the first
+  /// one whose stored copy differs bytewise from U's row, and every later
+  /// row of U is computed through linalg::dot_strip.  Publishes host
+  /// counters core.corr_plane.rows_{computed,reused} (target rows).
+  void sync(const hsi::HsiCube& cube, std::size_t row_begin,
+            std::size_t row_end, const linalg::Matrix& u, std::size_t stride);
+
+  /// True when the plane covers rows [row_begin, row_end) of `cube` and
+  /// holds exactly the rows of `u`.
+  [[nodiscard]] bool holds(const hsi::HsiCube& cube, std::size_t row_begin,
+                           std::size_t row_end, const linalg::Matrix& u) const;
+
+  /// U^T x of pixel (r, c): one value per held target row.
+  [[nodiscard]] std::span<const double> corr(std::size_t r,
+                                             std::size_t c) const {
+    return {corr_.data() + offset(r, c) * key_.stride, held_};
+  }
+  /// ||x||^2 of pixel (r, c).
+  [[nodiscard]] double norm_sq(std::size_t r, std::size_t c) const {
+    return xx_[offset(r, c)];
+  }
+
+ private:
+  struct Key {
+    const float* samples = nullptr;
+    std::size_t rows = 0, cols = 0, bands = 0;
+    std::size_t row_begin = 0, row_end = 0, stride = 0;
+    bool operator==(const Key&) const = default;
+  };
+  [[nodiscard]] std::size_t offset(std::size_t r, std::size_t c) const {
+    HPRS_ASSERT(r >= key_.row_begin && r < key_.row_end && c < key_.cols);
+    return (r - key_.row_begin) * key_.cols + c;
+  }
+  [[nodiscard]] static Key key_of(const hsi::HsiCube& cube,
+                                  std::size_t row_begin, std::size_t row_end,
+                                  std::size_t stride);
+
+  Key key_;
+  std::size_t held_ = 0;       // target rows computed
+  std::vector<double> rows_;   // held_ x bands: copy of U's leading rows
+  std::vector<double> corr_;   // pixels x stride
+  std::vector<double> xx_;     // pixels
+};
+
 /// Argmax of the OSP score over whole rows [row_begin, row_end) of the
 /// cube, scanning pixels in row-major order with strictly-greater updates.
 /// Dispatches between the per-pixel reference loop (osp_score per pixel)
-/// and the strip-blocked fast path, which forms U^T X over 64-pixel strips
-/// as one BLAS3 product (linalg::dot_strip), back-solves each column into a
-/// reusable scratch buffer, and never touches the heap per pixel.  Both
-/// paths return bit-identical candidates.  The caller charges
-/// linalg::flops::osp_score(bands, U.rows()) per pixel as before.
+/// and the plane path, which reads U^T x and ||x||^2 from `plane` (synced
+/// by the caller to cover the rows and hold exactly `targets`),
+/// back-solves each pixel into per-lane scratch and never touches the heap
+/// per pixel.  Contiguous row blocks run in kernel-thread lanes folded in
+/// ascending lane order.  Both paths return bit-identical candidates.  The
+/// caller charges linalg::flops::osp_score(bands, U.rows()) per pixel.
 [[nodiscard]] Candidate osp_argmax_sweep(const linalg::Matrix& targets,
                                          const linalg::Cholesky& gram_factor,
                                          const hsi::HsiCube& cube,
                                          std::size_t row_begin,
                                          std::size_t row_end,
+                                         const CorrPlane& plane,
                                          linalg::ScratchArena& arena);
+
+/// Argmax of the FCLS reconstruction error over rows [row_begin, row_end)
+/// plus the flops to charge (linalg::flops::fcls per pixel, with that
+/// pixel's active-set iterations).
+struct ErrorSweepOut {
+  Candidate best{0, 0, -1.0};
+  linalg::flops::Count flops = 0;
+};
+
+/// Hetero-UFCLS's per-round sweep.  Dispatches between the per-pixel
+/// reference loop (Unmixer::fcls per pixel) and the plane path, which hands
+/// each pixel's column of `plane` (synced by the caller to cover the rows
+/// and hold exactly `u`) to Unmixer::fcls_with_corr over per-lane scratch;
+/// lanes and fold as in osp_argmax_sweep.  Bit-identical results.
+[[nodiscard]] ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
+                                             const linalg::Matrix& u,
+                                             const linalg::Unmixer& unmixer,
+                                             std::size_t row_begin,
+                                             std::size_t row_end,
+                                             const CorrPlane& plane);
 
 /// Gram matrix of the rows of U with a tiny relative ridge so the Cholesky
 /// factorization survives nearly collinear targets.

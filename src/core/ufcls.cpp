@@ -18,6 +18,7 @@ namespace hprs::core {
 namespace {
 
 using detail::Candidate;
+using detail::ErrorSweepOut;
 using linalg::flops::Count;
 
 /// The brightest pixel of rows [row_begin, row_end) plus the flop charge.
@@ -34,66 +35,6 @@ BrightestOut brightest_sweep(const hsi::HsiCube& cube, std::size_t row_begin,
       const double score = linalg::norm_sq(cube.pixel(r, c));
       out.flops += linalg::flops::dot(cube.bands());
       if (score > out.best.score) out.best = Candidate{r, c, score};
-    }
-  }
-  return out;
-}
-
-/// Argmax of the FCLS reconstruction error over rows [row_begin, row_end),
-/// dispatching between the reference per-pixel loop and the strip-blocked
-/// fast path (bit-identical results).  Returns the flop count for the
-/// caller to charge.
-struct ErrorSweepOut {
-  Candidate best{0, 0, -1.0};
-  Count flops = 0;
-};
-
-ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
-                               const linalg::Matrix& u,
-                               const linalg::Unmixer& unmixer,
-                               std::size_t row_begin, std::size_t row_end,
-                               linalg::ScratchArena& arena) {
-  ErrorSweepOut out;
-  const std::size_t t_cur = u.rows();
-  if (linalg::use_reference_kernels()) {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      for (std::size_t c = 0; c < cube.cols(); ++c) {
-        const auto unmix = unmixer.fcls(cube.pixel(r, c));
-        out.flops += linalg::flops::fcls(
-            cube.bands(), t_cur, static_cast<Count>(unmix.iterations) + 1);
-        if (unmix.error_sq > out.best.score) {
-          out.best = Candidate{r, c, unmix.error_sq};
-        }
-      }
-    }
-    return out;
-  }
-  // Strip fast path: the correlation vectors U^T x and pixel norms of
-  // a whole strip are one BLAS3 product; the active-set solves then
-  // run per pixel on the precomputed columns, bit-identical to
-  // fcls(pixel).
-  constexpr std::size_t kStrip = 64;
-  const std::size_t bands = cube.bands();
-  const std::size_t cols = cube.cols();
-  arena.reset();
-  const std::span<double> corr = arena.take(kStrip * t_cur);
-  const std::span<double> xx = arena.take(kStrip);
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const float* row = cube.pixel(r, 0).data();
-    for (std::size_t c0 = 0; c0 < cols; c0 += kStrip) {
-      const std::size_t m = std::min(kStrip, cols - c0);
-      const float* x = row + c0 * bands;
-      linalg::dot_strip(u, x, m, corr);
-      linalg::norm_sq_strip(x, m, bands, xx);
-      for (std::size_t p = 0; p < m; ++p) {
-        const auto unmix =
-            unmixer.fcls_with_corr(corr.subspan(p * t_cur, t_cur), xx[p]);
-        out.flops += linalg::flops::fcls(
-            bands, t_cur, static_cast<Count>(unmix.iterations) + 1);
-        if (unmix.error_sq > out.best.score) {
-          out.best = Candidate{r, c0 + p, unmix.error_sq};
-        }
-      }
     }
   }
   return out;
@@ -128,9 +69,13 @@ ft::Program ufcls_ft_program(const hsi::HsiCube& cube,
         const linalg::Unmixer unmixer(u);
         c.compute(linalg::flops::gram(cube.bands(), u.rows()) +
                   linalg::flops::cholesky(u.rows()));
-        linalg::ScratchArena arena;
-        const ErrorSweepOut out = fcls_error_sweep(
-            cube, u, unmixer, chunk.part.row_begin, chunk.part.row_end, arena);
+        // A plane per call: chunks move between workers across phases, so
+        // the handler keeps no state from one command to the next.
+        detail::CorrPlane plane;
+        plane.sync(cube, chunk.part.row_begin, chunk.part.row_end, u,
+                   u.rows());
+        const ErrorSweepOut out = detail::fcls_error_sweep(
+            cube, u, unmixer, chunk.part.row_begin, chunk.part.row_end, plane);
         c.compute(out.flops * config.replication);
         return ft::ChunkOutcome{out.best, detail::kCandidateBytes};
       });
@@ -226,7 +171,9 @@ void ufcls_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   // Steps 2-5: grow the target set by maximum FCLS reconstruction error.
   // The broadcast is shared: every rank unmixes against one immutable
   // copy of the target matrix; only the master re-owns it to grow it.
-  linalg::ScratchArena arena;  // strip-sweep scratch, reused every round
+  // U^T x and ||x||^2 of the owned rows; each round adds only the newest
+  // target's row.
+  detail::CorrPlane plane;
   while (true) {
     // Only the root's payload (and wire size) reaches the engine.
     const std::size_t u_bytes =
@@ -240,9 +187,11 @@ void ufcls_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
     comm.compute(linalg::flops::gram(cube.bands(), t_cur) +
                  linalg::flops::cholesky(t_cur));
 
+    plane.sync(cube, view.part.row_begin, view.part.row_end, *u_view,
+               config.targets);
     const ErrorSweepOut sweep =
-        fcls_error_sweep(cube, *u_view, unmixer, view.part.row_begin,
-                         view.part.row_end, arena);
+        detail::fcls_error_sweep(cube, *u_view, unmixer, view.part.row_begin,
+                                 view.part.row_end, plane);
     comm.compute(sweep.flops * config.replication);
 
     const auto round =

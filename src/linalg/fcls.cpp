@@ -11,51 +11,42 @@ namespace hprs::linalg {
 
 namespace {
 
-/// Solves the sum-to-one constrained problem via the Lagrangian closed form
+/// The sum-to-one constrained solution via the Lagrangian closed form
 ///   a = a_u - G^-1 1 (1^T a_u - 1) / (1^T G^-1 1)
-/// given the unconstrained factorization plus a precomputed G^-1 1 and its
-/// sum (pixel-independent, so callers working against a fixed endmember set
-/// compute them once).
-std::vector<double> scls_with_ginv1(const Cholesky& chol,
-                                    std::span<const double> b,
-                                    std::span<const double> ginv1,
-                                    double denom) {
-  const std::size_t m = b.size();
-  const std::vector<double> au = chol.solve(b);
+/// given the unconstrained solution a_u, G^-1 1 and its sum `denom`.
+void scls_closed_form(std::span<const double> au,
+                      std::span<const double> ginv1, double denom,
+                      std::span<double> a) {
   const double sum_au = std::accumulate(au.begin(), au.end(), 0.0);
   HPRS_REQUIRE(std::abs(denom) > 1e-300, "degenerate sum-to-one system");
   const double lambda = (sum_au - 1.0) / denom;
-  std::vector<double> a(m);
-  for (std::size_t i = 0; i < m; ++i) a[i] = au[i] - lambda * ginv1[i];
-  return a;
-}
-
-std::vector<double> scls_with_factor(const Cholesky& chol,
-                                     std::span<const double> b) {
-  const std::vector<double> ones(b.size(), 1.0);
-  const std::vector<double> ginv1 = chol.solve(ones);
-  const double denom = std::accumulate(ginv1.begin(), ginv1.end(), 0.0);
-  return scls_with_ginv1(chol, b, ginv1, denom);
-}
-
-/// Sum-to-one solve restricted to `active` endmembers (fresh factorization
-/// of the Gram submatrix).
-std::vector<double> scls_on_subset(const Matrix& gram,
-                                   std::span<const double> corr,
-                                   const std::vector<std::size_t>& active) {
-  const std::size_t m = active.size();
-  Matrix g(m, m);
-  std::vector<double> b(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    b[i] = corr[active[i]];
-    for (std::size_t j = 0; j < m; ++j) {
-      g(i, j) = gram(active[i], active[j]);
-    }
-  }
-  return scls_with_factor(Cholesky(g), b);
+  for (std::size_t i = 0; i < au.size(); ++i) a[i] = au[i] - lambda * ginv1[i];
 }
 
 }  // namespace
+
+void FclsScratch::fit(std::size_t t) {
+  if (abundances_.size() == t) return;
+  work_.assign(6 * t + 2 * t * t, 0.0);
+  index_.assign(2 * t, 0);
+  double* w = work_.data();
+  const auto take = [&w](std::size_t n) {
+    const std::span<double> s{w, n};
+    w += n;
+    return s;
+  };
+  abundances_ = take(t);
+  a_ = take(t);
+  au_ = take(t);
+  ginv1_ = take(t);
+  ones_ = take(t);
+  b_ = take(t);
+  g_ = take(t * t);
+  l_ = take(t * t);
+  std::fill(ones_.begin(), ones_.end(), 1.0);
+  active_ = {index_.data(), t};
+  survivors_ = {index_.data() + t, t};
+}
 
 Unmixer::Unmixer(const Matrix& signatures)
     : signatures_(signatures),
@@ -115,22 +106,36 @@ UnmixResult Unmixer::ucls(std::span<const float> pixel) const {
 UnmixResult Unmixer::scls(std::span<const float> pixel) const {
   const std::vector<double> corr = correlation_vector(pixel);
   UnmixResult r;
-  r.abundances =
-      scls_with_ginv1(gram_factor_, corr, ginv_ones_, ginv_ones_sum_);
+  const std::vector<double> au = gram_factor_.solve(corr);
+  r.abundances.resize(endmember_count());
+  scls_closed_form(au, ginv_ones_, ginv_ones_sum_, r.abundances);
   r.error_sq = quadratic_error_sq(norm_sq(pixel), corr, r.abundances);
   return r;
 }
 
 UnmixResult Unmixer::fcls(std::span<const float> pixel) const {
-  return fcls_with_corr(correlation_vector(pixel), norm_sq(pixel));
+  const std::vector<double> corr = correlation_vector(pixel);
+  FclsScratch scratch;
+  const FclsStats stats = fcls_with_corr(corr, norm_sq(pixel), scratch);
+  UnmixResult r;
+  r.abundances.assign(scratch.abundances().begin(),
+                      scratch.abundances().end());
+  r.error_sq = stats.error_sq;
+  r.iterations = stats.iterations;
+  return r;
 }
 
-UnmixResult Unmixer::fcls_with_corr(std::span<const double> corr,
-                                    double pixel_norm_sq) const {
-  std::vector<std::size_t> active(endmember_count());
+FclsStats Unmixer::fcls_with_corr(std::span<const double> corr,
+                                  double pixel_norm_sq,
+                                  FclsScratch& scratch) const {
+  const std::size_t t = endmember_count();
+  scratch.fit(t);
+  std::span<std::size_t> active = scratch.active_;
+  std::span<std::size_t> survivors = scratch.survivors_;
   std::iota(active.begin(), active.end(), std::size_t{0});
+  std::size_t m = t;  // active.size()
 
-  UnmixResult r;
+  FclsStats stats;
   // Active-set loop in the Heinz-Chang style: every endmember whose
   // abundance goes negative is clamped out and the sum-to-one problem is
   // re-solved on the survivors.  The active set shrinks every round, so at
@@ -139,35 +144,54 @@ UnmixResult Unmixer::fcls_with_corr(std::span<const double> corr,
   // G^-1 1 vector cached at construction, which is what makes per-pixel
   // unmixing cheap.
   while (true) {
-    const std::vector<double> a =
-        active.size() == endmember_count()
-            ? scls_with_ginv1(gram_factor_, corr, ginv_ones_, ginv_ones_sum_)
-            : scls_on_subset(gram_, corr, active);
-    std::vector<std::size_t> survivors;
-    survivors.reserve(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (a[i] >= -1e-12) survivors.push_back(active[i]);
+    const std::span<double> a = scratch.a_.first(m);
+    const std::span<double> au = scratch.au_.first(m);
+    if (m == t) {
+      gram_factor_.solve_into(corr, au);
+      scls_closed_form(au, ginv_ones_, ginv_ones_sum_, a);
+    } else {
+      // Sum-to-one solve restricted to the active endmembers: a fresh
+      // factorization of the Gram submatrix.
+      double* g = scratch.g_.data();
+      double* l = scratch.l_.data();
+      double* b = scratch.b_.data();
+      const std::span<double> ginv1 = scratch.ginv1_.first(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        b[i] = corr[active[i]];
+        for (std::size_t j = 0; j < m; ++j) {
+          g[i * m + j] = gram_(active[i], active[j]);
+        }
+      }
+      cholesky_factor(g, m, l);
+      cholesky_solve(l, m, scratch.ones_.data(), ginv1.data());
+      const double denom = std::accumulate(ginv1.begin(), ginv1.end(), 0.0);
+      cholesky_solve(l, m, b, au.data());
+      scls_closed_form(au, ginv1, denom, a);
     }
-    if (survivors.size() == active.size() || survivors.empty() ||
-        active.size() == 1) {
-      r.abundances.assign(endmember_count(), 0.0);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        r.abundances[active[i]] = std::max(a[i], 0.0);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (a[i] >= -1e-12) survivors[kept++] = active[i];
+    }
+    if (kept == m || kept == 0 || m == 1) {
+      std::fill(scratch.abundances_.begin(), scratch.abundances_.end(), 0.0);
+      for (std::size_t i = 0; i < m; ++i) {
+        scratch.abundances_[active[i]] = std::max(a[i], 0.0);
       }
       break;
     }
-    active = std::move(survivors);
-    ++r.iterations;
+    std::swap(active, survivors);
+    m = kept;
+    ++stats.iterations;
   }
   // Renormalize away the clamping residue so the sum-to-one constraint holds
   // exactly.
-  const double s =
-      std::accumulate(r.abundances.begin(), r.abundances.end(), 0.0);
+  const std::span<double> abundances = scratch.abundances_;
+  const double s = std::accumulate(abundances.begin(), abundances.end(), 0.0);
   if (s > 0.0) {
-    for (auto& v : r.abundances) v /= s;
+    for (auto& v : abundances) v /= s;
   }
-  r.error_sq = quadratic_error_sq(pixel_norm_sq, corr, r.abundances);
-  return r;
+  stats.error_sq = quadratic_error_sq(pixel_norm_sq, corr, abundances);
+  return stats;
 }
 
 }  // namespace hprs::linalg

@@ -30,6 +30,51 @@ struct UnmixResult {
   int iterations = 0;
 };
 
+/// Caller-owned working storage of Unmixer::fcls_with_corr.  Sized on the
+/// first solve for an endmember count and reused afterwards without
+/// touching the heap, so a sweep that keeps one scratch per lane unmixes
+/// every pixel allocation-free.  Holds the abundances of the last solve.
+class FclsScratch {
+ public:
+  // The spans below point into work_/index_, so a scratch is neither
+  // copied nor moved.
+  FclsScratch() = default;
+  FclsScratch(const FclsScratch&) = delete;
+  FclsScratch& operator=(const FclsScratch&) = delete;
+
+  /// Abundances of the last fcls_with_corr call (one per endmember).
+  [[nodiscard]] std::span<const double> abundances() const {
+    return abundances_;
+  }
+
+ private:
+  friend class Unmixer;
+  /// Sizes every buffer for `t` endmembers (no-op when already sized).
+  void fit(std::size_t t);
+
+  std::vector<double> work_;       // backing store of the spans below
+  std::vector<std::size_t> index_;  // backing store of active_/survivors_
+  std::span<double> abundances_;   // t: the solution
+  std::span<double> a_;            // t: this round's active-set solution
+  std::span<double> au_;           // t: unconstrained solve
+  std::span<double> ginv1_;        // t: G_S^-1 1 of the subset
+  std::span<double> ones_;         // t: all ones (subset rhs)
+  std::span<double> b_;            // t: subset correlation vector
+  std::span<double> g_;            // t*t: subset Gram
+  std::span<double> l_;            // t*t: its Cholesky factor
+  std::span<std::size_t> active_;     // t: surviving endmembers
+  std::span<std::size_t> survivors_;  // t: next round's active set
+};
+
+/// Per-pixel statistics of an FCLS solve whose abundances stay in the
+/// caller's FclsScratch.
+struct FclsStats {
+  /// Squared Euclidean reconstruction error ||x - M a||^2.
+  double error_sq = 0.0;
+  /// Active-set iterations used (0 when no clamping was needed).
+  int iterations = 0;
+};
+
 /// Unmixes pixels against a fixed endmember set.  Construction factors the
 /// endmember Gram matrix once; per-pixel solves then cost O(t*n + t^2).
 class Unmixer {
@@ -54,12 +99,14 @@ class Unmixer {
   [[nodiscard]] UnmixResult fcls(std::span<const float> pixel) const;
 
   /// FCLS given a precomputed correlation vector b = M^T x and pixel norm
-  /// ||x||^2.  This is the strip-sweep entry point: Hetero-UFCLS computes
-  /// the correlation vectors of a whole pixel strip as one BLAS3 product
-  /// (linalg::dot_strip) and hands each pixel's column here.  Bit-identical
-  /// to fcls() on the same pixel.
-  [[nodiscard]] UnmixResult fcls_with_corr(std::span<const double> corr,
-                                           double pixel_norm_sq) const;
+  /// ||x||^2; the abundances land in scratch.abundances().  This is the
+  /// one FCLS implementation: fcls() calls it, and the Hetero-UFCLS sweep
+  /// hands it each pixel's column of the correlation plane
+  /// (core::detail::CorrPlane).  After the scratch's first use for this
+  /// endmember count it performs no heap allocation.
+  [[nodiscard]] FclsStats fcls_with_corr(std::span<const double> corr,
+                                         double pixel_norm_sq,
+                                         FclsScratch& scratch) const;
 
   /// Explicit reconstruction error ||x - M a||^2 computed from first
   /// principles.  The unmix methods use the algebraically identical (and

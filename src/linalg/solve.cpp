@@ -6,20 +6,42 @@
 
 namespace hprs::linalg {
 
-Cholesky::Cholesky(const Matrix& spd) : l_(spd.rows(), spd.cols()) {
-  HPRS_REQUIRE(spd.rows() == spd.cols(), "Cholesky requires a square matrix");
-  const std::size_t n = spd.rows();
+void cholesky_factor(const double* a, std::size_t n, double* l) {
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = spd(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+    const double* lj = l + j * n;
+    double diag = a[j * n + j];
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
     HPRS_REQUIRE(diag > 0.0, "matrix is not positive definite");
-    l_(j, j) = std::sqrt(diag);
+    l[j * n + j] = std::sqrt(diag);
     for (std::size_t i = j + 1; i < n; ++i) {
-      double s = spd(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
-      l_(i, j) = s / l_(j, j);
+      const double* li = l + i * n;
+      double s = a[i * n + j];
+      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+      l[i * n + j] = s / lj[j];
     }
   }
+}
+
+void cholesky_solve(const double* l, std::size_t n, const double* b,
+                    double* y) {
+  // Forward substitution L y = b.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l + i * n;
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
+    y[i] = s / li[i];
+  }
+  // Back substitution L^T x = y (in place).
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l[k * n + ii] * y[k];
+    y[ii] = s / l[ii * n + ii];
+  }
+}
+
+Cholesky::Cholesky(const Matrix& spd) : l_(spd.rows(), spd.cols()) {
+  HPRS_REQUIRE(spd.rows() == spd.cols(), "Cholesky requires a square matrix");
+  cholesky_factor(spd.data().data(), spd.rows(), l_.data().data());
 }
 
 std::vector<double> Cholesky::solve(std::span<const double> b) const {
@@ -33,18 +55,7 @@ void Cholesky::solve_into(std::span<const double> b,
   const std::size_t n = dim();
   HPRS_REQUIRE(b.size() == n, "rhs dimension mismatch");
   HPRS_REQUIRE(y.size() == n, "solution buffer dimension mismatch");
-  // Forward substitution L y = b.
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-    y[i] = s / l_(i, i);
-  }
-  // Back substitution L^T x = y (in place).
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * y[k];
-    y[ii] = s / l_(ii, ii);
-  }
+  cholesky_solve(l_.data().data(), n, b.data(), y.data());
 }
 
 double Cholesky::log_det() const {

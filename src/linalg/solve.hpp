@@ -10,6 +10,20 @@
 
 namespace hprs::linalg {
 
+/// Factors the row-major n x n symmetric positive-definite matrix `a` as
+/// L L^T, writing L into the lower triangle of the row-major n x n buffer
+/// `l` (entries above the diagonal are left untouched).  Throws
+/// hprs::Error "matrix is not positive definite" if a pivot is not
+/// positive.  Cholesky and the FCLS active-set subset solves share this
+/// routine, so a subset factor is bit-identical to Cholesky on the same
+/// submatrix.
+void cholesky_factor(const double* a, std::size_t n, double* l);
+
+/// Solves L L^T y = b for the factor written by cholesky_factor (forward
+/// then back substitution, in place in y).  b and y may not alias.
+void cholesky_solve(const double* l, std::size_t n, const double* b,
+                    double* y);
+
 /// Cholesky factorization L L^T of a symmetric positive-definite matrix.
 /// Throws hprs::Error if the matrix is not (numerically) SPD.
 class Cholesky {

@@ -294,15 +294,20 @@ AttemptOutcome run_resilient_leader(vmpi::Comm& sub, const JobSpec& spec,
     bundle.harvest(out);
     outcome.status = 0;
   } catch (const PreemptSignal&) {
-    // Deadline overrun: progress is checkpointed; release the survivors so
-    // they rejoin the pool while the job waits in the retry queue.  Only
-    // these two handlers exist on purpose: the engine's crash signal must
-    // keep propagating, so no catch-all.
+    // Deadline overrun: progress is checkpointed; the survivors are
+    // released below so they rejoin the pool while the job waits in the
+    // retry queue.  Only these two handlers exist on purpose: the engine's
+    // crash signal must keep propagating, so no catch-all.
     outcome.status = 1;
-    master->finish();
   } catch (const Error& e) {
     outcome.status = 2;
     outcome.error = e.what();
+  }
+  // The releases send to the workers, so this fiber may park and resume on
+  // another executor thread.  They therefore run only after the handler
+  // has ended: a catch block spanning a thread switch would close its
+  // exception on the wrong thread's caught-exception stack (and leak it).
+  if (outcome.status != 0) {
     if (master.has_value()) {
       master->finish();
     } else {

@@ -178,16 +178,20 @@ TEST_P(BlockedKernelTest, OspArgmaxSweepMatchesReference) {
   const linalg::Matrix targets = random_matrix(t, bands, 1100 + rows);
   const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
   linalg::ScratchArena arena;
+  core::detail::CorrPlane plane;
+  plane.sync(cube, 0, rows, targets, t);
 
   core::detail::Candidate ref;
   core::detail::Candidate fast;
   {
     const linalg::ScopedKernelPath path(true);
-    ref = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows, arena);
+    ref = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows, plane,
+                                         arena);
   }
   {
     const linalg::ScopedKernelPath path(false);
-    fast = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows, arena);
+    fast = core::detail::osp_argmax_sweep(targets, gram, cube, 0, rows,
+                                          plane, arena);
   }
   EXPECT_EQ(ref.row, fast.row);
   EXPECT_EQ(ref.col, fast.col);
