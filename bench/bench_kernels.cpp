@@ -5,8 +5,11 @@
 //
 // The *_Reference / *_Fast pairs pin the scalar loops against the blocked
 // kernels (linalg/kernels.hpp) on the dominant sweeps: the MORPH windowed
-// eccentricity pass, the PCT covariance accumulation, and the ATDCA OSP
-// sweep; the *_Plane benches measure one incremental ATDCA/UFCLS round.
+// eccentricity pass, the PCT covariance accumulation, the ATDCA OSP sweep
+// and the PPI projection pass; the *_Plane benches measure one
+// incremental ATDCA/UFCLS round, and BM_CholeskySolve{PerPixel,Strip} pin
+// one strip of per-pixel back-solves against the multi-right-hand-side
+// solve.
 // Pass --json <path> (conventionally BENCH_kernels.json) for a
 // machine-readable ns/op + bytes/op summary.
 #include <benchmark/benchmark.h>
@@ -20,6 +23,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/morph_kernel.hpp"
+#include "core/ppi.hpp"
 #include "core/spmd_common.hpp"
 #include "hsi/cube.hpp"
 #include "hsi/metrics.hpp"
@@ -174,6 +178,45 @@ void BM_CholeskyFactorization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskyFactorization)->Arg(18)->Arg(64);
+
+void BM_CholeskySolve(benchmark::State& state, bool strip) {
+  // One 64-pixel strip of ATDCA back-solves against a t x t Gram factor:
+  // per pixel (one substitution chain at a time) or as one multi-right-
+  // hand-side call (independent pixels' chains in lockstep).
+  const auto t = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kStrip = 64;
+  Xoshiro256 rng(18);
+  linalg::Matrix b(t, t);
+  for (auto& v : b.data()) v = rng.uniform(-1, 1);
+  linalg::Matrix spd = b.gram();
+  for (std::size_t i = 0; i < t; ++i) spd(i, i) += static_cast<double>(t);
+  const linalg::Cholesky chol(spd);
+  std::vector<double> rhs(kStrip * t);
+  for (auto& v : rhs) v = rng.uniform(-1, 1);
+  std::vector<double> y(kStrip * t);
+  const std::span<const double> bs(rhs);
+  const std::span<double> ys(y);
+  for (auto _ : state) {
+    if (strip) {
+      chol.solve_strip_into(bs, kStrip, ys);
+    } else {
+      for (std::size_t p = 0; p < kStrip; ++p) {
+        chol.solve_into(bs.subspan(p * t, t), ys.subspan(p * t, t));
+      }
+    }
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>((2 * kStrip * t + t * t) * sizeof(double));
+}
+void BM_CholeskySolvePerPixel(benchmark::State& state) {
+  BM_CholeskySolve(state, false);
+}
+void BM_CholeskySolveStrip(benchmark::State& state) {
+  BM_CholeskySolve(state, true);
+}
+BENCHMARK(BM_CholeskySolvePerPixel)->ArgName("t")->Arg(9)->Arg(18);
+BENCHMARK(BM_CholeskySolveStrip)->ArgName("t")->Arg(9)->Arg(18);
 
 // --- Paired reference/fast benchmarks of the dominant sweeps --------------
 
@@ -511,6 +554,32 @@ BENCHMARK(BM_FclsSweep_Fast)
 BENCHMARK(BM_FclsSweep_Plane)
     ->ArgName("t")->Arg(9)->Arg(18)
     ->Unit(benchmark::kMillisecond);
+
+void BM_PpiProjection(benchmark::State& state, bool reference) {
+  // PPI's projection pass over a 32x32 block against 64 skewers: per-skewer
+  // scalar dots, or pixel strips projected through dot_strip.
+  const linalg::ScopedKernelPath path(reference);
+  const std::size_t bands = 224;
+  const std::size_t skewers = 64;
+  const hsi::HsiCube cube = random_cube(32, 32, bands, 19);
+  const linalg::Matrix sk = random_targets(skewers, bands, 20);
+  std::vector<core::detail::SkewerExtreme> extremes;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::detail::project_extremes(sk, cube, 0, cube.rows(), extremes));
+  }
+  state.counters["bytes_per_op"] =
+      static_cast<double>(cube.pixel_count() * bands) * sizeof(float) +
+      static_cast<double>(skewers * bands) * sizeof(double);
+}
+void BM_PpiProjection_Reference(benchmark::State& state) {
+  BM_PpiProjection(state, true);
+}
+void BM_PpiProjection_Fast(benchmark::State& state) {
+  BM_PpiProjection(state, false);
+}
+BENCHMARK(BM_PpiProjection_Reference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PpiProjection_Fast)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects ns/op + bytes/op per run for
 /// the --json summary.  Under --benchmark_repetitions=N (N > 1) it records

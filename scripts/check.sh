@@ -38,7 +38,7 @@ if [[ "$run_sanitizers" == "1" ]]; then
     -DHPRS_BUILD_BENCH=OFF \
     -DHPRS_BUILD_EXAMPLES=OFF
   asan_tests=(linalg_blocked_test morph_sad_cache_test fastpath_equivalence_test
-              core_corr_plane_test linalg_fcls_test)
+              core_corr_plane_test linalg_fcls_test linalg_multilane_test)
   cmake --build "$repo/build-asan" -j "$jobs" --target \
     "${asan_tests[@]}" sched_resilience_test
   for t in "${asan_tests[@]}"; do
@@ -70,11 +70,12 @@ if [[ "$run_sanitizers" == "1" ]]; then
   # The tile-graph suite rides along: the streamed tiled driver and the
   # mixed-precision tile kernels must stay race-free at 4 kernel threads.
   # So does the eigen suite: its memo is shared by concurrent callers,
-  # and the correlation-plane suite: its OSP/FCLS sweeps run in lanes.
+  # the correlation-plane suite: its OSP/FCLS sweeps run in lanes, and the
+  # multi-lane suite: the lockstep solve and dot kernels those lanes call.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
                 morph_sad_cache_test linalg_tile_graph_test
                 fastpath_equivalence_test linalg_eigen_test
-                core_corr_plane_test)
+                core_corr_plane_test linalg_multilane_test)
   cmake --build "$repo/build-tsan" -j "$jobs" --target "${kernel_tests[@]}"
   for t in "${kernel_tests[@]}"; do
     HPRS_KERNEL_THREADS=4 "$repo/build-tsan/tests/$t"

@@ -282,25 +282,34 @@ LabelOut label_partition(const hsi::HsiCube& cube, std::size_t row_begin,
   out.block.labels.reserve((row_end - row_begin) * cols);
   // Representative norms hoisted out of the pixel loop (fast path); with
   // the pixel norm computed once per pixel this removes two of the three
-  // dot products per SAD.  The charge stays the full sad() cost: the
+  // dot products per SAD, and linalg::dot_lanes runs the remaining ones
+  // for several representatives at a time (independent chains, each
+  // bit-identical to the scalar pair).  The charge stays the full sad() cost: the
   // virtual model prices the algorithm, not the host shortcuts.
   const bool fast = !linalg::use_reference_kernels();
   std::vector<double> rep_norms(reps);
+  std::vector<const float*> rep_data(reps);
+  std::vector<double> dots(reps);
   if (fast) {
     for (std::size_t u = 0; u < reps; ++u) {
       rep_norms[u] = linalg::norm<float>(unique[u].spectrum);
+      rep_data[u] = unique[u].spectrum.data();
     }
   }
   for (std::size_t r = row_begin; r < row_end; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const auto px = cube.pixel(r, c);
-      const double px_norm = fast ? linalg::norm(px) : 0.0;
+      double px_norm = 0.0;
+      if (fast) {
+        px_norm = linalg::norm(px);
+        linalg::dot_lanes(px.data(), rep_data.data(), reps, bands,
+                          dots.data());
+      }
       std::uint16_t best = 0;
       double best_d = std::numeric_limits<double>::infinity();
       for (std::size_t u = 0; u < reps; ++u) {
         const double dist =
-            fast ? hsi::sad_with_norms<float, float>(
-                       unique[u].spectrum, px, rep_norms[u], px_norm)
+            fast ? hsi::sad_from_dot(dots[u], rep_norms[u], px_norm)
                  : hsi::sad<float, float>(unique[u].spectrum, px);
         if (dist < best_d) {
           best_d = dist;

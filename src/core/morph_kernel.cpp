@@ -62,10 +62,10 @@ void MorphBlockEngine::refresh_sad_cache() {
   const std::size_t n_rows = rows();
   const std::size_t n_cols = cols();
   const std::size_t count = n_rows * n_cols;
+  const std::size_t bands = f_.bands();
   const auto r = static_cast<std::ptrdiff_t>(radius_);
 
   norms_.resize(count);
-  norms_sq_.resize(count);
   self_sad_.resize(count);
   // Per-pixel norms are independent; workers own contiguous pixel blocks.
   linalg::parallel_region(count, [&](std::size_t worker,
@@ -76,14 +76,11 @@ void MorphBlockEngine::refresh_sad_cache() {
     for (std::size_t p = p0; p < p1; ++p) {
       const double sq = linalg::norm_sq<float>(f_.pixel(p));
       const double n = std::sqrt(sq);
-      norms_sq_[p] = sq;
       norms_[p] = n;
       // SAD(p, p) exactly as sad() computes it: the quotient sq / n^2 is
       // not exactly 1 in general, so the self term is acos rounding noise
       // rather than a literal zero.
-      self_sad_[p] =
-          n == 0.0 ? 0.0
-                   : std::acos(std::clamp(sq / (n * n), -1.0, 1.0));
+      self_sad_[p] = hsi::sad_from_dot(sq, n, n);
     }
   });
 
@@ -103,34 +100,50 @@ void MorphBlockEngine::refresh_sad_cache() {
     }
     planes_.resize(offsets_.size());
   }
+  for (auto& plane : planes_) plane.resize(count);
 
-  // One worker per SAD plane (stride-owned): planes are disjoint output
-  // arrays, each filled in the same serial order regardless of thread
-  // count.
-  linalg::parallel_region(
-      offsets_.size(), [&](std::size_t worker, std::size_t workers) {
-  for (std::size_t k = worker; k < offsets_.size(); k += workers) {
-    const auto [di, dj] = offsets_[k];
-    auto& plane = planes_[k];
-    plane.resize(count);
-    const std::size_t x_hi = n_rows > di ? n_rows - di : 0;
-    const std::size_t y_lo = dj < 0 ? static_cast<std::size_t>(-dj) : 0;
-    const std::size_t y_hi =
-        dj > 0 && static_cast<std::size_t>(dj) >= n_cols
-            ? 0
-            : (dj > 0 ? n_cols - static_cast<std::size_t>(dj) : n_cols);
-    for (std::size_t x = 0; x < x_hi; ++x) {
-      for (std::size_t y = y_lo; y < y_hi; ++y) {
+  // Pixel-major fill: each pixel runs the dot products against its
+  // in-bounds forward neighbours through linalg::dot_lanes (independent
+  // chains in lockstep, each bit-identical to the scalar pair), then writes
+  // one entry of every plane it touches.  Workers own contiguous row
+  // blocks, so every plane entry has exactly one writer whatever the
+  // thread count.
+  const std::size_t n_off = offsets_.size();
+  linalg::parallel_region(n_rows, [&](std::size_t worker,
+                                      std::size_t workers) {
+    const std::size_t per = (n_rows + workers - 1) / workers;
+    const std::size_t x0 = worker * per;
+    const std::size_t x1 = std::min(n_rows, x0 + per);
+    if (x0 >= x1) return;
+    std::vector<const float*> nbr(n_off);  // in-bounds neighbour spectra
+    std::vector<std::size_t> nbr_k(n_off);  // their plane indices
+    std::vector<double> nbr_norm(n_off), dots(n_off);
+    for (std::size_t x = x0; x < x1; ++x) {
+      for (std::size_t y = 0; y < n_cols; ++y) {
         const std::size_t p = x * n_cols + y;
-        const std::size_t q =
-            (x + di) * n_cols +
-            static_cast<std::size_t>(static_cast<std::ptrdiff_t>(y) + dj);
-        plane[p] = hsi::sad_with_norms<float, float>(
-            f_.pixel(p), f_.pixel(q), norms_[p], norms_[q]);
+        std::size_t lanes = 0;
+        for (std::size_t k = 0; k < n_off; ++k) {
+          const auto [di, dj] = offsets_[k];
+          const auto yq = static_cast<std::ptrdiff_t>(y) + dj;
+          if (x + di >= n_rows || yq < 0 ||
+              yq >= static_cast<std::ptrdiff_t>(n_cols)) {
+            continue;
+          }
+          const std::size_t q = (x + di) * n_cols + static_cast<std::size_t>(yq);
+          nbr[lanes] = f_.pixel(q).data();
+          nbr_k[lanes] = k;
+          nbr_norm[lanes] = norms_[q];
+          ++lanes;
+        }
+        linalg::dot_lanes(f_.pixel(p).data(), nbr.data(), lanes, bands,
+                          dots.data());
+        for (std::size_t j = 0; j < lanes; ++j) {
+          planes_[nbr_k[j]][p] =
+              hsi::sad_from_dot(dots[j], norms_[p], nbr_norm[j]);
+        }
       }
     }
-  }
-      });
+  });
 }
 
 // --- Fast path: one SAD evaluation per distinct (pixel, neighbor) pair,

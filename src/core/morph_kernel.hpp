@@ -15,7 +15,9 @@
 //    per-pixel norms once per iteration and materializes one SAD plane per
 //    distinct window offset, exploiting SAD's symmetry so each (pixel,
 //    neighbor) pair is evaluated once instead of ~2(2r+1)^2 times across
-//    the D and MEI/dilation passes.  The cached values are produced by the
+//    the D and MEI/dilation passes.  The planes are filled pixel-major: a
+//    pixel's dot products against its forward neighbours run as
+//    independent chains in lockstep (linalg::dot_lanes).  The cached values are produced by the
 //    same arithmetic as hsi::sad and summed in the same window order, so
 //    the D planes, MEI scores, and dilated images are bit-identical.
 #pragma once
@@ -66,7 +68,6 @@ class MorphBlockEngine {
   // Fast-path scratch, allocated lazily and reused across iterations.
   std::vector<double> d_;
   std::vector<double> norms_;     // ||pixel|| per block pixel
-  std::vector<double> norms_sq_;  // pixel . pixel per block pixel
   std::vector<double> self_sad_;  // SAD(pixel, pixel) -- acos rounding noise
   std::vector<std::pair<std::size_t, std::ptrdiff_t>> offsets_;
   std::vector<std::vector<double>> planes_;  // one SAD plane per offset

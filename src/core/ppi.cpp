@@ -14,6 +14,7 @@
 #include "obs/host_profile.hpp"
 #include "obs/metrics.hpp"
 #include "linalg/flops.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/vec.hpp"
 #include "vmpi/comm.hpp"
 
@@ -30,14 +31,8 @@ struct PurityEntry {
   std::uint32_t count = 0;
 };
 
-/// Per-skewer local extremes a worker reports: projection values plus the
-/// pixel locations realizing them.
-struct SkewerExtreme {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  std::size_t lo_row = 0, lo_col = 0;
-  std::size_t hi_row = 0, hi_col = 0;
-};
+using detail::SkewerExtreme;
+
 /// Wire size of one SkewerExtreme (two doubles + four 32-bit coordinates).
 constexpr std::size_t kExtremeBytes = 2 * 8 + 4 * 4;
 
@@ -59,7 +54,69 @@ linalg::Matrix make_skewers(std::size_t k, std::size_t bands,
   return skewers;
 }
 
+/// Folds one projection into a skewer's extremes with strict comparisons,
+/// so the first pixel scanned keeps a tie.
+void update_extreme(SkewerExtreme& ext, double proj, std::size_t r,
+                    std::size_t c) {
+  if (proj < ext.lo) {
+    ext.lo = proj;
+    ext.lo_row = r;
+    ext.lo_col = c;
+  }
+  if (proj > ext.hi) {
+    ext.hi = proj;
+    ext.hi_row = r;
+    ext.hi_col = c;
+  }
+}
+
 }  // namespace
+
+namespace detail {
+
+Count project_extremes(const linalg::Matrix& skewers,
+                       const hsi::HsiCube& cube, std::size_t row_begin,
+                       std::size_t row_end,
+                       std::vector<SkewerExtreme>& extremes) {
+  const std::size_t k = skewers.rows();
+  const std::size_t bands = cube.bands();
+  const std::size_t cols = cube.cols();
+  extremes.assign(k, SkewerExtreme{});
+  if (linalg::use_reference_kernels()) {
+    for (std::size_t s = 0; s < k; ++s) {
+      const auto skewer = skewers.row(s);
+      for (std::size_t r = row_begin; r < row_end; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          update_extreme(extremes[s],
+                         linalg::dot<double, float>(skewer, cube.pixel(r, c)),
+                         r, c);
+        }
+      }
+    }
+  } else {
+    // Every skewer still sees the pixels in row-major order, so the strict
+    // comparisons keep the same first occurrence as the reference loop;
+    // dot_strip gives each (skewer, pixel) projection the scalar chain.
+    constexpr std::size_t kStrip = 64;
+    std::vector<double> proj(std::min(kStrip, cols) * k);
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+      for (std::size_t c0 = 0; c0 < cols; c0 += kStrip) {
+        const std::size_t m = std::min(kStrip, cols - c0);
+        linalg::dot_strip(skewers, cube.pixel(r, c0).data(), m, proj);
+        for (std::size_t p = 0; p < m; ++p) {
+          const double* pp = proj.data() + p * k;
+          for (std::size_t s = 0; s < k; ++s) {
+            update_extreme(extremes[s], pp[s], r, c0 + p);
+          }
+        }
+      }
+    }
+  }
+  const auto pixels = static_cast<Count>((row_end - row_begin) * cols);
+  return static_cast<Count>(k) * pixels * linalg::flops::dot(bands);
+}
+
+}  // namespace detail
 
 /// The fault-tolerant schedule (core/ft.hpp): the projection kernel runs
 /// per chunk against the skewer matrix shipped as the phase payload; the
@@ -80,32 +137,9 @@ ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
       [&cube, config](vmpi::Comm& c, const ft::Chunk& chunk,
                       const std::any* payload) {
         const auto& skewers = std::any_cast<const linalg::Matrix&>(*payload);
-        const std::size_t bands = cube.bands();
-        const std::size_t cols = cube.cols();
-        std::vector<SkewerExtreme> local(config.skewers);
-        Count flops = 0;
-        for (std::size_t s = 0; s < config.skewers; ++s) {
-          const auto skewer = skewers.row(s);
-          auto& ext = local[s];
-          for (std::size_t r = chunk.part.row_begin; r < chunk.part.row_end;
-               ++r) {
-            for (std::size_t col = 0; col < cols; ++col) {
-              const double proj =
-                  linalg::dot<double, float>(skewer, cube.pixel(r, col));
-              flops += linalg::flops::dot(bands);
-              if (proj < ext.lo) {
-                ext.lo = proj;
-                ext.lo_row = r;
-                ext.lo_col = col;
-              }
-              if (proj > ext.hi) {
-                ext.hi = proj;
-                ext.hi_row = r;
-                ext.hi_col = col;
-              }
-            }
-          }
-        }
+        std::vector<SkewerExtreme> local;
+        const Count flops = detail::project_extremes(
+            skewers, cube, chunk.part.row_begin, chunk.part.row_end, local);
         c.compute(flops * config.replication);
         return ft::ChunkOutcome{std::move(local),
                                 config.skewers * kExtremeBytes};
@@ -197,7 +231,6 @@ void ppi_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   WorkloadModel model = ppi_workload(cube.bands(), config.skewers);
   model.scatter_input = config.charge_data_staging;
   const std::size_t bands = cube.bands();
-  const std::size_t cols = cube.cols();
 
   const PartitionView view = detail::distribute_partitions(
       comm, cube, model, config.policy, config.memory_fraction,
@@ -219,29 +252,9 @@ void ppi_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   // Projection pass: per skewer, the local extremes and their locations.
   // The global extremes are selected at the master, so the purity counts
   // are independent of the partitioning.
-  std::vector<SkewerExtreme> local(config.skewers);
-  Count flops = 0;
-  for (std::size_t s = 0; s < config.skewers; ++s) {
-    const auto skewer = skewers.row(s);
-    auto& ext = local[s];
-    for (std::size_t r = view.part.row_begin; r < view.part.row_end; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double proj =
-            linalg::dot<double, float>(skewer, cube.pixel(r, c));
-        flops += linalg::flops::dot(bands);
-        if (proj < ext.lo) {
-          ext.lo = proj;
-          ext.lo_row = r;
-          ext.lo_col = c;
-        }
-        if (proj > ext.hi) {
-          ext.hi = proj;
-          ext.hi_row = r;
-          ext.hi_col = c;
-        }
-      }
-    }
-  }
+  std::vector<SkewerExtreme> local;
+  const Count flops = detail::project_extremes(
+      skewers, cube, view.part.row_begin, view.part.row_end, local);
   comm.compute(flops * config.replication);
 
   const std::size_t local_bytes = config.skewers * kExtremeBytes;

@@ -16,13 +16,44 @@
 // cleanly than ATDCA.
 #pragma once
 
+#include <limits>
+#include <vector>
+
 #include "core/partition.hpp"
 #include "core/types.hpp"
 #include "hsi/cube.hpp"
+#include "linalg/flops.hpp"
+#include "linalg/matrix.hpp"
 #include "simnet/platform.hpp"
 #include "vmpi/engine.hpp"
 
 namespace hprs::core {
+
+namespace detail {
+
+/// Per-skewer local extremes a worker reports: projection values plus the
+/// pixel locations realizing them.
+struct SkewerExtreme {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  std::size_t lo_row = 0, lo_col = 0;
+  std::size_t hi_row = 0, hi_col = 0;
+};
+
+/// PPI's projection pass over rows [row_begin, row_end) of the cube: for
+/// every skewer (row of `skewers`), the smallest and largest projection
+/// skewer . x and the first pixel in row-major order realizing each (strict
+/// < and > updates).  Returns the flops to charge: one linalg::flops::dot
+/// per (skewer, pixel) pair.  Dispatches between the per-skewer scalar
+/// reference loop and the fast path, which projects pixel strips through
+/// linalg::dot_strip and scans them in the same row-major order; both
+/// return identical extremes and locations.
+[[nodiscard]] linalg::flops::Count project_extremes(
+    const linalg::Matrix& skewers, const hsi::HsiCube& cube,
+    std::size_t row_begin, std::size_t row_end,
+    std::vector<SkewerExtreme>& extremes);
+
+}  // namespace detail
 
 struct PpiConfig {
   /// Endmember candidates to return.

@@ -223,15 +223,20 @@ Candidate osp_argmax_sweep(const linalg::Matrix& targets,
                "correlation plane does not hold the sweep's rows and targets");
 
   // Each lane stages a 64-pixel strip of the plane (b packed at stride t,
-  // plus ||x||^2) in its arena buffers, then back-solves it pixel by pixel.
-  // The staging costs t copies against the t^2 solve per pixel and is the
-  // scratch the stable, golden-pinned linalg.scratch_high_water_doubles
-  // gauge reports.  The arena's chunks are stable, so spans taken up front
-  // survive the region.
+  // plus ||x||^2) in its arena buffers and back-solves the whole strip in
+  // one multi-right-hand-side call (Cholesky::solve_strip_into: up to
+  // eight pixels' substitutions in lockstep, each bit-identical to its own
+  // solve_into).  The strip's solutions live in lane-owned storage: the
+  // arena's per-lane total is what the stable, golden-pinned
+  // linalg.scratch_high_water_doubles gauge reports, so it keeps the
+  // layout of the per-pixel solve (b strip, ||x||^2 strip, one t-double
+  // solution slot that the strip solve no longer writes).  The arena's
+  // chunks are stable, so spans taken up front survive the region.
   constexpr std::size_t kStrip = 64;
   const std::size_t t = targets.rows();
   struct Lane {
-    std::span<double> b, xx, z;
+    std::span<double> b, xx;
+    std::vector<double> z;  // kStrip x t: the strip's solutions
     Candidate best{0, 0, -1.0};
   };
   std::vector<Lane> lanes(sweep_lanes(row_begin, row_end));
@@ -239,7 +244,8 @@ Candidate osp_argmax_sweep(const linalg::Matrix& targets,
   for (auto& lane : lanes) {
     lane.b = arena.take(kStrip * t);
     lane.xx = arena.take(kStrip);
-    lane.z = arena.take(t);
+    (void)arena.take(t);  // the per-pixel solution slot (pinned gauge)
+    lane.z.resize(kStrip * t);
   }
   return lane_argmax(lanes, row_begin, row_end,
                      [&](Lane& lane, std::size_t r0, std::size_t r1) {
@@ -251,11 +257,12 @@ Candidate osp_argmax_sweep(const linalg::Matrix& targets,
           std::copy(bp.begin(), bp.end(), lane.b.begin() + p * t);
           lane.xx[p] = plane.norm_sq(r, c0 + p);
         }
+        const std::span<double> z(lane.z);
+        gram_factor.solve_strip_into(lane.b.first(m * t), m, z.first(m * t));
         for (std::size_t p = 0; p < m; ++p) {
-          const std::span<const double> bp = lane.b.subspan(p * t, t);
-          gram_factor.solve_into(bp, lane.z);
           const double score =
-              lane.xx[p] - linalg::dot<double, double>(bp, lane.z);
+              lane.xx[p] - linalg::dot<double, double>(lane.b.subspan(p * t, t),
+                                                       z.subspan(p * t, t));
           if (score > lane.best.score) lane.best = Candidate{r, c0 + p, score};
         }
       }
@@ -289,22 +296,45 @@ ErrorSweepOut fcls_error_sweep(const hsi::HsiCube& cube,
   HPRS_REQUIRE(plane.holds(cube, row_begin, row_end, u),
                "correlation plane does not hold the sweep's rows and targets");
 
+  // Each lane gathers the correlation vectors of up to four consecutive
+  // pixels of a row, solves their first active-set round in one
+  // multi-right-hand-side call over the full-set factor
+  // (Unmixer::full_set_solve), and hands each pixel its solution.  The
+  // gather buffers are lane-owned, sized once per sweep.
+  constexpr std::size_t kGroup = 4;
   struct Lane {
     linalg::FclsScratch scratch;
+    std::vector<double> corr, au;  // kGroup x t each
     Count flops = 0;
     Candidate best{0, 0, -1.0};
   };
   std::vector<Lane> lanes(sweep_lanes(row_begin, row_end));
+  for (auto& lane : lanes) {
+    lane.corr.resize(kGroup * t_cur);
+    lane.au.resize(kGroup * t_cur);
+  }
   out.best = lane_argmax(lanes, row_begin, row_end,
                          [&](Lane& lane, std::size_t r0, std::size_t r1) {
+    const std::span<double> corr(lane.corr);
+    const std::span<double> au(lane.au);
     for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const linalg::FclsStats unmix = unmixer.fcls_with_corr(
-            plane.corr(r, c), plane.norm_sq(r, c), lane.scratch);
-        lane.flops += linalg::flops::fcls(
-            bands, t_cur, static_cast<Count>(unmix.iterations) + 1);
-        if (unmix.error_sq > lane.best.score) {
-          lane.best = Candidate{r, c, unmix.error_sq};
+      for (std::size_t c0 = 0; c0 < cols; c0 += kGroup) {
+        const std::size_t m = std::min(kGroup, cols - c0);
+        for (std::size_t p = 0; p < m; ++p) {
+          const std::span<const double> bp = plane.corr(r, c0 + p);
+          std::copy(bp.begin(), bp.end(), corr.begin() + p * t_cur);
+        }
+        unmixer.full_set_solve(corr.first(m * t_cur), m, au.first(m * t_cur));
+        for (std::size_t p = 0; p < m; ++p) {
+          const std::size_t c = c0 + p;
+          const linalg::FclsStats unmix = unmixer.fcls_with_corr(
+              corr.subspan(p * t_cur, t_cur), plane.norm_sq(r, c),
+              lane.scratch, au.subspan(p * t_cur, t_cur));
+          lane.flops += linalg::flops::fcls(
+              bands, t_cur, static_cast<Count>(unmix.iterations) + 1);
+          if (unmix.error_sq > lane.best.score) {
+            lane.best = Candidate{r, c, unmix.error_sq};
+          }
         }
       }
     }

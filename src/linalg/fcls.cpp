@@ -125,10 +125,16 @@ UnmixResult Unmixer::fcls(std::span<const float> pixel) const {
   return r;
 }
 
+void Unmixer::full_set_solve(std::span<const double> corr, std::size_t m,
+                             std::span<double> au) const {
+  gram_factor_.solve_strip_into(corr, m, au);
+}
+
 FclsStats Unmixer::fcls_with_corr(std::span<const double> corr,
-                                  double pixel_norm_sq,
-                                  FclsScratch& scratch) const {
+                                  double pixel_norm_sq, FclsScratch& scratch,
+                                  std::span<const double> first_round) const {
   const std::size_t t = endmember_count();
+  HPRS_ASSERT(first_round.empty() || first_round.size() == t);
   scratch.fit(t);
   std::span<std::size_t> active = scratch.active_;
   std::span<std::size_t> survivors = scratch.survivors_;
@@ -147,8 +153,11 @@ FclsStats Unmixer::fcls_with_corr(std::span<const double> corr,
     const std::span<double> a = scratch.a_.first(m);
     const std::span<double> au = scratch.au_.first(m);
     if (m == t) {
-      gram_factor_.solve_into(corr, au);
-      scls_closed_form(au, ginv_ones_, ginv_ones_sum_, a);
+      if (first_round.empty()) {
+        gram_factor_.solve_into(corr, au);
+        first_round = au;
+      }
+      scls_closed_form(first_round, ginv_ones_, ginv_ones_sum_, a);
     } else {
       // Sum-to-one solve restricted to the active endmembers: a fresh
       // factorization of the Gram submatrix.
@@ -163,9 +172,9 @@ FclsStats Unmixer::fcls_with_corr(std::span<const double> corr,
         }
       }
       cholesky_factor(g, m, l);
-      cholesky_solve(l, m, scratch.ones_.data(), ginv1.data());
+      cholesky_solve_pair(l, m, scratch.ones_.data(), b, ginv1.data(),
+                          au.data());
       const double denom = std::accumulate(ginv1.begin(), ginv1.end(), 0.0);
-      cholesky_solve(l, m, b, au.data());
       scls_closed_form(au, ginv1, denom, a);
     }
     std::size_t kept = 0;

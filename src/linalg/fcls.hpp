@@ -103,10 +103,20 @@ class Unmixer {
   /// one FCLS implementation: fcls() calls it, and the Hetero-UFCLS sweep
   /// hands it each pixel's column of the correlation plane
   /// (core::detail::CorrPlane).  After the scratch's first use for this
-  /// endmember count it performs no heap allocation.
-  [[nodiscard]] FclsStats fcls_with_corr(std::span<const double> corr,
-                                         double pixel_norm_sq,
-                                         FclsScratch& scratch) const;
+  /// endmember count it performs no heap allocation.  `first_round`, when
+  /// given, is G^-1 b for this pixel as full_set_solve produced it; the
+  /// first active-set round then uses it instead of solving again.
+  [[nodiscard]] FclsStats fcls_with_corr(
+      std::span<const double> corr, double pixel_norm_sq,
+      FclsScratch& scratch, std::span<const double> first_round = {}) const;
+
+  /// The first active-set round's unconstrained solve au_j = G^-1 b_j for
+  /// m pixels whose correlation vectors lie contiguously in `corr` (t
+  /// values each), written likewise to `au`: one multi-right-hand-side
+  /// solve over the full-set factor, bit-identical per pixel to the solve
+  /// fcls_with_corr would run.
+  void full_set_solve(std::span<const double> corr, std::size_t m,
+                      std::span<double> au) const;
 
   /// Explicit reconstruction error ||x - M a||^2 computed from first
   /// principles.  The unmix methods use the algebraically identical (and

@@ -7,6 +7,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "linalg/target_clones.hpp"
 #include "linalg/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -203,23 +204,38 @@ void norm_sq_strip(const float* x, std::size_t m, std::size_t n,
 
 namespace {
 
-// Widest vector ISA the build understands, resolved per-process via ifunc.
-// Only plain mulpd/addpd widen -- the avx2 clone has no FMA, so every lane
-// performs the same IEEE operations as the default clone and results stay
-// bit-identical across dispatch targets.
-//
-// Disabled under TSan: the loader runs the ifunc resolver while applying
-// IRELATIVE relocations, before .preinit_array has called __tsan_init, and
-// GCC instruments the generated resolver -- its __tsan_func_entry prologue
-// then dereferences the not-yet-initialized thread state and the binary
-// segfaults before main.  The clones are bit-identical, so falling back to
-// the default kernel only changes instrumented-run speed.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__)
-#define HPRS_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define HPRS_TARGET_CLONES
-#endif
+/// L chains of dot_lanes in lockstep: sample i is added to every chain
+/// before sample i + 1, and no chain ever mixes with another.
+template <std::size_t L>
+void dot_lockstep(const float* a, const float* const* b, std::size_t n,
+                  double* out) {
+  double acc[L] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(a[i]);
+    for (std::size_t j = 0; j < L; ++j) {
+      acc[j] += v * static_cast<double>(b[j][i]);
+    }
+  }
+  for (std::size_t j = 0; j < L; ++j) out[j] = acc[j];
+}
+
+}  // namespace
+
+HPRS_TARGET_CLONES
+void dot_lanes(const float* a, const float* const* b, std::size_t k,
+               std::size_t n, double* out) {
+  std::size_t j = 0;
+  for (; j + 8 <= k; j += 8) dot_lockstep<8>(a, b + j, n, out + j);
+  for (; j + 4 <= k; j += 4) dot_lockstep<4>(a, b + j, n, out + j);
+  switch (k - j) {
+    case 3: dot_lockstep<3>(a, b + j, n, out + j); break;
+    case 2: dot_lockstep<2>(a, b + j, n, out + j); break;
+    case 1: dot_lockstep<1>(a, b + j, n, out + j); break;
+    default: break;
+  }
+}
+
+namespace {
 
 HPRS_TARGET_CLONES
 void syrk_tri_update_impl(const double* x, std::size_t m, std::size_t n,

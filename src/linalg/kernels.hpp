@@ -92,6 +92,13 @@ void dot_strip(const Matrix& u, const double* x, std::size_t m,
 void norm_sq_strip(const float* x, std::size_t m, std::size_t n,
                    std::span<double> out);
 
+/// out[j] = dot(a, b[j]) for j < k: one n-sample spectrum against k others.
+/// Up to eight outputs run in lockstep, each its own ascending chain over
+/// the samples, so every out[j] is bit-identical to linalg::dot on the same
+/// operands.  Single-threaded: the callers own whole pixels per worker.
+void dot_lanes(const float* a, const float* const* b, std::size_t k,
+               std::size_t n, double* out);
+
 /// Rank-m symmetric update of a packed upper triangle:
 ///   tri[idx(i, j)] += sum_p x[p*n + i] * x[p*n + j]   (j >= i)
 /// where idx(i, j) = i*n - i*(i-1)/2 + (j-i), the layout used by the PCT

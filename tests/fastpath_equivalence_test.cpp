@@ -8,10 +8,16 @@
 // Jacobi sweeps).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "core/ppi.hpp"
 #include "core/runner.hpp"
 #include "hsi/scene.hpp"
+#include "linalg/flops.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -381,6 +387,112 @@ TEST(TileEquivalenceTest, StreamingIsDeterministicAcrossExecutorModes) {
     EXPECT_EQ(stable_first, obs::Metrics::stable_subset(
                                 obs::Metrics::instance().snapshot()))
         << (thread_per_rank ? "stream tpr" : "stream bounded");
+  }
+}
+
+/// The small scene with a bright flat spectrum planted at four positions
+/// (two of them in one row): it is the extreme pixel of most skewers, so
+/// the PPI tie-break between identical projections decides the picks.
+hsi::HsiCube ppi_tie_cube() {
+  hsi::HsiCube cube = small_scene().cube;
+  for (const std::size_t p : {75u, 77u, 301u, 530u}) {
+    for (auto& v : cube.pixel(p)) v = 5.0f;
+  }
+  return cube;
+}
+
+linalg::Matrix unit_skewers(std::size_t k, std::size_t bands) {
+  Xoshiro256 rng(404);
+  linalg::Matrix m(k, bands);
+  for (std::size_t s = 0; s < k; ++s) {
+    double sq = 0.0;
+    for (auto& v : m.row(s)) {
+      v = rng.normal();
+      sq += v * v;
+    }
+    for (auto& v : m.row(s)) v /= std::sqrt(sq);
+  }
+  return m;
+}
+
+TEST(PpiEquivalenceTest, ProjectionExtremesMatchReferenceWithFirstOccurrenceTies) {
+  const hsi::HsiCube cube = ppi_tie_cube();
+  const std::size_t cols = cube.cols();
+  const linalg::Matrix skewers = unit_skewers(37, cube.bands());
+  // A row range that starts mid-cube and spans the planted duplicates.
+  const std::size_t r0 = 2;
+  const std::size_t r1 = cube.rows() - 1;
+  std::vector<core::detail::SkewerExtreme> ref, fast;
+  linalg::flops::Count ref_flops = 0, fast_flops = 0;
+  {
+    const linalg::ScopedKernelPath path(true);
+    ref_flops = core::detail::project_extremes(skewers, cube, r0, r1, ref);
+  }
+  {
+    const linalg::ScopedKernelPath path(false);
+    fast_flops = core::detail::project_extremes(skewers, cube, r0, r1, fast);
+  }
+  EXPECT_EQ(ref_flops, fast_flops);
+  EXPECT_EQ(ref_flops, skewers.rows() * (r1 - r0) * cols *
+                           linalg::flops::dot(cube.bands()));
+  ASSERT_EQ(ref.size(), skewers.rows());
+  ASSERT_EQ(fast.size(), skewers.rows());
+  std::size_t first_pick = 0;
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    EXPECT_EQ(ref[s].lo, fast[s].lo) << "skewer " << s;
+    EXPECT_EQ(ref[s].hi, fast[s].hi) << "skewer " << s;
+    EXPECT_EQ(ref[s].lo_row, fast[s].lo_row) << "skewer " << s;
+    EXPECT_EQ(ref[s].lo_col, fast[s].lo_col) << "skewer " << s;
+    EXPECT_EQ(ref[s].hi_row, fast[s].hi_row) << "skewer " << s;
+    EXPECT_EQ(ref[s].hi_col, fast[s].hi_col) << "skewer " << s;
+    // A planted duplicate may only win at its first row-major position.
+    for (const std::size_t later : {77u, 301u, 530u}) {
+      EXPECT_FALSE(fast[s].hi_row * cols + fast[s].hi_col == later)
+          << "skewer " << s;
+      EXPECT_FALSE(fast[s].lo_row * cols + fast[s].lo_col == later)
+          << "skewer " << s;
+    }
+    first_pick += fast[s].hi_row * cols + fast[s].hi_col == 75u ||
+                  fast[s].lo_row * cols + fast[s].lo_col == 75u;
+  }
+  EXPECT_GT(first_pick, skewers.rows() / 2)
+      << "the planted pixel should be extreme for most skewers";
+}
+
+TEST(PpiEquivalenceTest, RunsMatchReferenceAcrossSchedulesAndThreads) {
+  const hsi::HsiCube cube = ppi_tie_cube();
+  const simnet::Platform platform = simnet::fully_heterogeneous();
+  for (const bool fault_tolerant : {false, true}) {
+    core::PpiConfig cfg;
+    cfg.targets = 6;
+    cfg.skewers = 64;
+    cfg.fault_tolerant = fault_tolerant;
+    core::PpiResult ref;
+    {
+      const linalg::ScopedKernelPath path(true);
+      ref = core::run_ppi(platform, cube, cfg);
+    }
+    for (const std::size_t threads : {1u, 4u}) {
+      const linalg::ScopedKernelPath path(false);
+      const linalg::ScopedKernelThreads scoped(threads);
+      const core::PpiResult fast = core::run_ppi(platform, cube, cfg);
+      const std::string label = std::string(fault_tolerant ? "ft" : "spmd") +
+                                " threads " + std::to_string(threads);
+      ASSERT_EQ(ref.targets.size(), fast.targets.size()) << label;
+      for (std::size_t i = 0; i < ref.targets.size(); ++i) {
+        EXPECT_EQ(ref.targets[i].row, fast.targets[i].row) << label;
+        EXPECT_EQ(ref.targets[i].col, fast.targets[i].col) << label;
+      }
+      EXPECT_EQ(ref.scores, fast.scores) << label;
+      EXPECT_EQ(ref.report.total_time, fast.report.total_time) << label;
+      ASSERT_EQ(ref.report.ranks.size(), fast.report.ranks.size()) << label;
+      for (std::size_t r = 0; r < ref.report.ranks.size(); ++r) {
+        EXPECT_EQ(ref.report.ranks[r].clock, fast.report.ranks[r].clock)
+            << label << " rank " << r;
+        EXPECT_EQ(ref.report.ranks[r].flops, fast.report.ranks[r].flops)
+            << label << " rank " << r;
+      }
+    }
   }
 }
 
