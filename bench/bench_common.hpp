@@ -280,11 +280,13 @@ inline std::vector<SweepRecord> network_sweep(const BenchSetup& setup) {
 /// speedup tracking does not have to scrape console output.
 struct KernelRecord {
   std::string name;
-  double ns_per_op = 0.0;
+  double ns_per_op = 0.0;  ///< median over the repetitions
   double bytes_per_op = 0.0;
-  /// Largest relative residual a mixed-precision benchmark observed against
-  /// its double reference; negative when the benchmark reports none.
-  double max_residual = -1.0;
+  /// Spread of ns_per_op over the repetitions (both equal ns_per_op for a
+  /// single run), so a change can be told from host noise.
+  double ns_per_op_min = 0.0;
+  double ns_per_op_max = 0.0;
+  std::size_t repetitions = 1;
 };
 
 /// Writes the records as a flat JSON object keyed by benchmark name, headed
@@ -304,13 +306,14 @@ inline bool write_kernel_json(const std::string& path,
   write_metadata_entry(f, !records.empty(), hw_threads,
                        /*executor_workers=*/1, kernel_threads);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    std::fprintf(f, "  \"%s\": {\"ns_per_op\": %.3f, \"bytes_per_op\": %.1f",
-                 records[i].name.c_str(), records[i].ns_per_op,
-                 records[i].bytes_per_op);
-    if (records[i].max_residual >= 0.0) {
-      std::fprintf(f, ", \"max_residual\": %.3e", records[i].max_residual);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
+    const KernelRecord& r = records[i];
+    std::fprintf(f,
+                 "  \"%s\": {\"ns_per_op\": %.3f, \"ns_per_op_min\": %.3f, "
+                 "\"ns_per_op_max\": %.3f, \"repetitions\": %zu, "
+                 "\"bytes_per_op\": %.1f}%s\n",
+                 r.name.c_str(), r.ns_per_op, r.ns_per_op_min,
+                 r.ns_per_op_max, r.repetitions, r.bytes_per_op,
+                 i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "}\n");
   std::fclose(f);

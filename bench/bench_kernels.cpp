@@ -11,11 +11,13 @@
 // one strip of per-pixel back-solves against the multi-right-hand-side
 // solve.
 // Pass --json <path> (conventionally BENCH_kernels.json) for a
-// machine-readable ns/op + bytes/op summary.
+// machine-readable ns/op (median, min, max over the repetitions) + bytes/op
+// summary.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +35,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/thread_pool.hpp"
-#include "linalg/tile_graph.hpp"
 #include "linalg/vec.hpp"
 
 namespace {
@@ -343,7 +344,7 @@ void BM_PctCovariance_Tiled(benchmark::State& state) {
   std::vector<double> centered(strip * bands);
   for (auto& v : centered) v = rng.uniform(-0.5, 0.5);
   const auto tiles =
-      linalg::make_row_tiles(0, strip, bands * sizeof(double), 16);
+      core::detail::make_row_tiles(0, strip, bands * sizeof(double), 16);
   std::vector<double> tri(tri_n, 0.0);
   for (auto _ : state) {
     for (const auto& t : tiles) {
@@ -356,54 +357,6 @@ void BM_PctCovariance_Tiled(benchmark::State& state) {
       (strip * bands + 2 * tri_n) * sizeof(double));
 }
 BENCHMARK(BM_PctCovariance_Tiled)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PctCovariance_MixedTile(benchmark::State& state) {
-  // The gated mixed-precision tile path on the same strip: float syrk into
-  // a private triangle, one double fold per tile.  The max_residual counter
-  // records the observed relative error against the double kernel, so the
-  // --json artifact tracks accuracy next to speed.
-  const linalg::ScopedKernelThreads threads(
-      static_cast<std::size_t>(state.range(0)));
-  const std::size_t bands = 224;
-  const std::size_t strip = 64;
-  const std::size_t tri_n = bands * (bands + 1) / 2;
-  Xoshiro256 rng(14);
-  std::vector<float> centered(strip * bands);
-  for (auto& v : centered) v = static_cast<float>(rng.uniform(-0.5, 0.5));
-  std::vector<float> ftri(tri_n, 0.0f);
-  std::vector<double> tri(tri_n, 0.0);
-  for (auto _ : state) {
-    std::fill(ftri.begin(), ftri.end(), 0.0f);
-    linalg::syrk_tri_update_f32(centered.data(), strip, bands, ftri.data());
-    for (std::size_t k = 0; k < tri_n; ++k) {
-      tri[k] += static_cast<double>(ftri[k]);
-    }
-    benchmark::DoNotOptimize(tri.data());
-  }
-  // One double-kernel pass of the identical strip bounds the fast path's
-  // error; the a-priori gate (mixed_tile_admissible) must dominate it.
-  std::vector<double> dcentered(centered.begin(), centered.end());
-  std::vector<double> ref(tri_n, 0.0);
-  linalg::syrk_tri_update(dcentered.data(), strip, bands, ref.data());
-  std::fill(ftri.begin(), ftri.end(), 0.0f);
-  linalg::syrk_tri_update_f32(centered.data(), strip, bands, ftri.data());
-  double max_abs = 0.0;
-  double max_err = 0.0;
-  for (std::size_t k = 0; k < tri_n; ++k) {
-    max_abs = std::max(max_abs, std::abs(ref[k]));
-    max_err =
-        std::max(max_err, std::abs(static_cast<double>(ftri[k]) - ref[k]));
-  }
-  // Max-norm relative residual -- the quantity the a-priori gate
-  // (mixed_tile_admissible) bounds by eps32 * chain length.
-  state.counters["max_residual"] = max_err / std::max(max_abs, 1e-30);
-  state.counters["bytes_per_op"] =
-      static_cast<double>(strip * bands) * sizeof(float) +
-      static_cast<double>(tri_n) * (sizeof(float) + sizeof(double));
-}
-BENCHMARK(BM_PctCovariance_MixedTile)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
@@ -454,7 +407,7 @@ void BM_OspSweep_Tiled(benchmark::State& state) {
   const hsi::HsiCube cube = random_cube(32, 32, bands, 15);
   const linalg::Matrix targets = random_targets(t, bands, 16);
   const linalg::Cholesky gram(core::detail::ridged_row_gram(targets));
-  const auto tiles = linalg::make_row_tiles(
+  const auto tiles = core::detail::make_row_tiles(
       0, cube.rows(), cube.cols() * cube.bands() * sizeof(float), 8);
   linalg::ScratchArena arena;
   for (auto _ : state) {
@@ -583,30 +536,35 @@ BENCHMARK(BM_PpiProjection_Fast)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects ns/op + bytes/op per run for
 /// the --json summary.  Under --benchmark_repetitions=N (N > 1) it records
-/// only the median aggregate, under the plain benchmark name, so the
-/// artifact's key set does not depend on the repeat count.
+/// the median aggregate, under the plain benchmark name (so the artifact's
+/// key set does not depend on the repeat count), together with the min and
+/// max ns/op of the N repetitions.
 class KernelJsonCollector : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const auto& run : reports) {
       const bool repeated = run.repetitions > 1;
-      if (repeated && (run.run_type != Run::RT_Aggregate ||
-                       run.aggregate_name != "median")) {
+      if (repeated && run.run_type != Run::RT_Aggregate) {
+        spread_[run.run_name.str()].push_back(ns_per_op(run));
         continue;
       }
+      if (repeated && run.aggregate_name != "median") continue;
       bench::KernelRecord rec;
       rec.name = repeated ? run.run_name.str() : run.benchmark_name();
-      if (run.iterations > 0) {
-        rec.ns_per_op = run.real_accumulated_time /
-                        static_cast<double>(run.iterations) * 1e9;
+      rec.ns_per_op = ns_per_op(run);
+      rec.ns_per_op_min = rec.ns_per_op_max = rec.ns_per_op;
+      if (repeated) {
+        const std::vector<double>& reps = spread_[rec.name];
+        if (!reps.empty()) {
+          const auto [lo, hi] = std::minmax_element(reps.begin(), reps.end());
+          rec.ns_per_op_min = *lo;
+          rec.ns_per_op_max = *hi;
+          rec.repetitions = reps.size();
+        }
       }
       const auto it = run.counters.find("bytes_per_op");
       if (it != run.counters.end()) {
         rec.bytes_per_op = static_cast<double>(it->second);
-      }
-      const auto res = run.counters.find("max_residual");
-      if (res != run.counters.end()) {
-        rec.max_residual = static_cast<double>(res->second);
       }
       records.push_back(std::move(rec));
     }
@@ -614,6 +572,16 @@ class KernelJsonCollector : public benchmark::ConsoleReporter {
   }
 
   std::vector<bench::KernelRecord> records;
+
+ private:
+  static double ns_per_op(const Run& run) {
+    return run.iterations > 0 ? run.real_accumulated_time /
+                                    static_cast<double>(run.iterations) * 1e9
+                              : 0.0;
+  }
+
+  /// ns/op of each repetition so far, by run name.
+  std::map<std::string, std::vector<double>> spread_;
 };
 
 }  // namespace

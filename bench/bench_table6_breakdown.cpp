@@ -6,7 +6,7 @@
 // far the smallest; the homogeneous versions' PAR explodes on
 // heterogeneous-processor networks.
 //
-// A second table pins the tiled task-graph runtime's comm/compute overlap:
+// A second table pins the streamed tile driver's comm/compute overlap:
 // PCT and ATDCA on accelerated gangs (simnet::accelerated_now), monolithic
 // staging against the streamed per-tile driver
 // (core::RunnerConfig::tile_stream).  Streaming must never lose, and wins

@@ -67,13 +67,13 @@ if [[ "$run_sanitizers" == "1" ]]; then
   done
 
   echo "== tier 1e: threaded kernels under TSan (HPRS_KERNEL_THREADS=4) =="
-  # The tile-graph suite rides along: the streamed tiled driver and the
-  # mixed-precision tile kernels must stay race-free at 4 kernel threads.
-  # So does the eigen suite: its memo is shared by concurrent callers,
-  # the correlation-plane suite: its OSP/FCLS sweeps run in lanes, and the
-  # multi-lane suite: the lockstep solve and dot kernels those lanes call.
+  # The fast-path equivalence suite rides along (the streamed tiled
+  # driver must stay race-free at 4 kernel threads), as does the eigen
+  # suite: its memo is shared by concurrent callers, the correlation-plane
+  # suite: its OSP/FCLS sweeps run in lanes, and the multi-lane suite: the
+  # lockstep solve and dot kernels those lanes call.
   kernel_tests=(linalg_thread_pool_test linalg_blocked_test
-                morph_sad_cache_test linalg_tile_graph_test
+                morph_sad_cache_test
                 fastpath_equivalence_test linalg_eigen_test
                 core_corr_plane_test linalg_multilane_test)
   cmake --build "$repo/build-tsan" -j "$jobs" --target "${kernel_tests[@]}"

@@ -164,7 +164,7 @@ void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
                 const AtdcaConfig& config, TargetDetectionResult& result) {
   WorkloadModel model = atdca_workload(cube.bands(), config.targets);
   model.scatter_input = config.charge_data_staging;
-  const bool streaming = config.tile_stream || linalg::tile_stream_enabled();
+  const bool streaming = config.tile_stream;
   model.tile_stream = streaming;
   const PartitionView view = detail::distribute_partitions(
       comm, cube, model, config.policy, config.memory_fraction,
@@ -173,13 +173,13 @@ void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   // enqueued here and the brightest/OSP sweeps overlap the remaining
   // transfers with per-tile compute.
   const detail::TileStream tiles = detail::begin_tile_stream(
-      comm, view, config.tile_rows, streaming, config.replication);
+      comm, view, streaming, config.replication);
 
   // Steps 2-3: global brightest pixel, swept tile by tile (fold order ==
   // tile order == row-major order, so the pick is the monolithic one).
   Candidate local{0, 0, -1.0};
   detail::tiled_sweep(comm, tiles, config.replication,
-                      [&](const linalg::TileDesc& t) {
+                      [&](const detail::TileDesc& t) {
                         BrightOut out =
                             brightest_range(cube, t.row_begin, t.row_end);
                         if (out.best.score > local.score) local = out.best;
@@ -226,7 +226,7 @@ void atdca_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
                config.targets);
     Candidate local_best{0, 0, -1.0};
     detail::tiled_sweep(
-        comm, tiles, config.replication, [&](const linalg::TileDesc& t) {
+        comm, tiles, config.replication, [&](const detail::TileDesc& t) {
           const Candidate cand = detail::osp_argmax_sweep(
               *u_view, gram, cube, t.row_begin, t.row_end, plane, arena);
           if (cand.score > local_best.score) local_best = cand;

@@ -38,12 +38,8 @@ struct AtdcaConfig {
   /// crashes from Options::fault_plan and still produces the fault-free
   /// outputs bit for bit.  The root must not be in the crash plan.
   bool fault_tolerant = false;
-  /// Rows per tile of the brightest/OSP sweeps; 0 = HPRS_TILE_ROWS, else
-  /// automatic (linalg::resolve_tile_rows).  Any value is numerics- and
-  /// virtual-time-neutral unless tile_stream is on.
-  std::size_t tile_rows = 0;
-  /// Per-tile streamed staging overlapped with compute on accelerated
-  /// ranks (ORed with HPRS_TILE_STREAM).  Off reproduces the historic
+  /// Per-tile streamed staging of the brightest/OSP sweeps overlapped
+  /// with compute on accelerated ranks.  Off reproduces the historic
   /// upfront-staging charge bit for bit.
   bool tile_stream = false;
 };

@@ -70,6 +70,60 @@ void update_extreme(SkewerExtreme& ext, double proj, std::size_t r,
   }
 }
 
+/// The master's fold, shared by both schedules: each skewer's global
+/// extremes over the gathered parts (part order; ties broken by row-major
+/// position so the outcome cannot depend on the partitioning), one purity
+/// count per extreme pixel, ranked by count desc then row-major position.
+/// Charges the fold and stores the best `config.targets` entries in
+/// `result`.
+void rank_purity(vmpi::Comm& comm,
+                 const std::vector<std::vector<SkewerExtreme>>& parts,
+                 const PpiConfig& config, PpiResult& result) {
+  std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
+  for (std::size_t s = 0; s < config.skewers; ++s) {
+    std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (const auto& part : parts) {
+      const auto& ext = part[s];
+      if (ext.lo < lo ||
+          (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
+                               std::make_pair(lo_row, lo_col))) {
+        lo = ext.lo;
+        lo_row = ext.lo_row;
+        lo_col = ext.lo_col;
+      }
+      if (ext.hi > hi ||
+          (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
+                               std::make_pair(hi_row, hi_col))) {
+        hi = ext.hi;
+        hi_row = ext.hi_row;
+        hi_col = ext.hi_col;
+      }
+    }
+    ++counts[{lo_row, lo_col}];
+    ++counts[{hi_row, hi_col}];
+  }
+  comm.compute(config.skewers * parts.size() * 4, vmpi::Phase::kSequential);
+
+  std::vector<PurityEntry> all;
+  all.reserve(counts.size());
+  for (const auto& [loc, count] : counts) {
+    all.push_back(PurityEntry{loc.first, loc.second, count});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const PurityEntry& a, const PurityEntry& b) {
+              if (a.count != b.count) return a.count > b.count;
+              if (a.row != b.row) return a.row < b.row;
+              return a.col < b.col;
+            });
+  const std::size_t keep = std::min(config.targets, all.size());
+  for (std::size_t k = 0; k < keep; ++k) {
+    result.targets.push_back({all[k].row, all[k].col});
+    result.scores.push_back(all[k].count);
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -165,53 +219,8 @@ ft::Program ppi_ft_program(const hsi::HsiCube& cube, const PpiConfig& config,
       parts.push_back(std::any_cast<std::vector<SkewerExtreme>>(std::move(a)));
     }
 
-    // Global extreme per skewer, folded in chunk order; ties broken by
-    // row-major position so the outcome cannot depend on the partitioning.
-    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
-    for (std::size_t s = 0; s < config.skewers; ++s) {
-      std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -lo;
-      for (const auto& part : parts) {
-        const auto& ext = part[s];
-        if (ext.lo < lo ||
-            (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
-                                 std::make_pair(lo_row, lo_col))) {
-          lo = ext.lo;
-          lo_row = ext.lo_row;
-          lo_col = ext.lo_col;
-        }
-        if (ext.hi > hi ||
-            (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
-                                 std::make_pair(hi_row, hi_col))) {
-          hi = ext.hi;
-          hi_row = ext.hi_row;
-          hi_col = ext.hi_col;
-        }
-      }
-      ++counts[{lo_row, lo_col}];
-      ++counts[{hi_row, hi_col}];
-    }
-    comm.compute(config.skewers * parts.size() * 4, vmpi::Phase::kSequential);
-
-    std::vector<PurityEntry> all;
-    all.reserve(counts.size());
-    for (const auto& [loc, count] : counts) {
-      all.push_back(PurityEntry{loc.first, loc.second, count});
-    }
-    // Deterministic ranking: count desc, then row-major position.
-    std::sort(all.begin(), all.end(),
-              [](const PurityEntry& a, const PurityEntry& b) {
-                if (a.count != b.count) return a.count > b.count;
-                if (a.row != b.row) return a.row < b.row;
-                return a.col < b.col;
-              });
+    rank_purity(comm, parts, config, result);
     master.finish();
-    const std::size_t keep = std::min(config.targets, all.size());
-    for (std::size_t k = 0; k < keep; ++k) {
-      result.targets.push_back({all[k].row, all[k].col});
-      result.scores.push_back(all[k].count);
-    }
   };
   return prog;
 }
@@ -261,53 +270,7 @@ void ppi_body(vmpi::Comm& comm, const hsi::HsiCube& cube,
   auto gathered = comm.gather(comm.root(), std::move(local), local_bytes);
 
   if (comm.is_root()) {
-    // Global extreme per skewer; ties broken by row-major position so
-    // the outcome cannot depend on rank assignment.
-    std::map<std::pair<std::size_t, std::size_t>, std::uint32_t> counts;
-    for (std::size_t s = 0; s < config.skewers; ++s) {
-      std::size_t lo_row = 0, lo_col = 0, hi_row = 0, hi_col = 0;
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -lo;
-      for (const auto& part : gathered) {
-        const auto& ext = part[s];
-        if (ext.lo < lo ||
-            (ext.lo == lo && std::make_pair(ext.lo_row, ext.lo_col) <
-                                 std::make_pair(lo_row, lo_col))) {
-          lo = ext.lo;
-          lo_row = ext.lo_row;
-          lo_col = ext.lo_col;
-        }
-        if (ext.hi > hi ||
-            (ext.hi == hi && std::make_pair(ext.hi_row, ext.hi_col) <
-                                 std::make_pair(hi_row, hi_col))) {
-          hi = ext.hi;
-          hi_row = ext.hi_row;
-          hi_col = ext.hi_col;
-        }
-      }
-      ++counts[{lo_row, lo_col}];
-      ++counts[{hi_row, hi_col}];
-    }
-    comm.compute(config.skewers * gathered.size() * 4,
-                 vmpi::Phase::kSequential);
-
-    std::vector<PurityEntry> all;
-    all.reserve(counts.size());
-    for (const auto& [loc, count] : counts) {
-      all.push_back(PurityEntry{loc.first, loc.second, count});
-    }
-    // Deterministic ranking: count desc, then row-major position.
-    std::sort(all.begin(), all.end(),
-              [](const PurityEntry& a, const PurityEntry& b) {
-                if (a.count != b.count) return a.count > b.count;
-                if (a.row != b.row) return a.row < b.row;
-                return a.col < b.col;
-              });
-    const std::size_t keep = std::min(config.targets, all.size());
-    for (std::size_t k = 0; k < keep; ++k) {
-      result.targets.push_back({all[k].row, all[k].col});
-      result.scores.push_back(all[k].count);
-    }
+    rank_purity(comm, gathered, config, result);
   }
 }
 

@@ -38,7 +38,6 @@ RunnerOutput run_algorithm(const simnet::Platform& platform,
       c.replication = config.replication;
       c.charge_data_staging = config.charge_data_staging;
       c.fault_tolerant = config.fault_tolerant;
-      c.tile_rows = config.tile_rows;
       c.tile_stream = config.tile_stream;
       auto r = run_atdca(platform, cube, c, options);
       out.report = std::move(r.report);
@@ -67,7 +66,6 @@ RunnerOutput run_algorithm(const simnet::Platform& platform,
       c.replication = config.replication;
       c.charge_data_staging = config.charge_data_staging;
       c.fault_tolerant = config.fault_tolerant;
-      c.tile_rows = config.tile_rows;
       c.tile_stream = config.tile_stream;
       auto r = run_pct(platform, cube, c, options);
       out.report = std::move(r.report);

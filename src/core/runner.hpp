@@ -37,12 +37,8 @@ struct RunnerConfig {
   /// fail-stop worker crashes from Options::fault_plan while producing the
   /// fault-free outputs bit for bit.
   bool fault_tolerant = false;
-  /// Rows per tile of the tiled BLAS3 sweeps (ATDCA / PCT); 0 defers to
-  /// HPRS_TILE_ROWS, then to the automatic split.  Numerics- and
-  /// virtual-time-neutral unless tile_stream is on.
-  std::size_t tile_rows = 0;
   /// Per-tile streamed staging overlapped with compute on accelerated
-  /// ranks (ATDCA / PCT; ORed with HPRS_TILE_STREAM).
+  /// ranks (ATDCA / PCT).
   bool tile_stream = false;
 };
 

@@ -51,32 +51,40 @@ PartitionView distribute_partitions(vmpi::Comm& comm,
   return view;
 }
 
+std::vector<TileDesc> make_row_tiles(std::size_t row_begin,
+                                     std::size_t row_end,
+                                     std::size_t bytes_per_row,
+                                     std::size_t tile_rows) {
+  HPRS_REQUIRE(tile_rows >= 1, "tile_rows must be at least 1");
+  std::vector<TileDesc> tiles;
+  if (row_end <= row_begin) return tiles;
+  tiles.reserve((row_end - row_begin + tile_rows - 1) / tile_rows);
+  for (std::size_t r0 = row_begin; r0 < row_end; r0 += tile_rows) {
+    const std::size_t r1 = std::min(row_end, r0 + tile_rows);
+    tiles.push_back(TileDesc{r0, r1, (r1 - r0) * bytes_per_row});
+  }
+  return tiles;
+}
+
 TileStream begin_tile_stream(vmpi::Comm& comm, const PartitionView& view,
-                             std::size_t tile_rows, bool streaming,
-                             std::size_t replication) {
+                             bool streaming, std::size_t replication) {
   TileStream ts;
   const RowPartition& part = view.part;
   const std::size_t bytes_per_row =
       view.cube->cols() * view.cube->bytes_per_pixel();
-  ts.tiles = linalg::make_row_tiles(
-      part.row_begin, part.row_end, bytes_per_row,
-      linalg::resolve_tile_rows(tile_rows, part.owned_rows()));
+  ts.tiles = make_row_tiles(part.row_begin, part.row_end, bytes_per_row,
+                            tile_rows_for(part.owned_rows()));
   ts.streaming = streaming;
   if (!streaming) return ts;
-  // Enqueue every tile's copy now, in the deterministic stage-chain order:
-  // the DMA pipe drains in the background while the host-side phases that
-  // precede the device sweeps (clustering, means, gathers) run, and each
-  // sweep only waits out whatever part of its tile's copy is still exposed.
-  ts.staged_until.assign(ts.tiles.size(), 0.0);
-  linalg::TileGraph stages;
-  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
-    const std::size_t id = stages.add_node(linalg::TileNodeKind::kStage, k, k);
-    if (k > 0) stages.add_edge(id - 1, id);
+  // Enqueue every tile's copy now, in ascending tile order: the DMA pipe
+  // drains in the background while the host-side phases that precede the
+  // device sweeps (clustering, means, gathers) run, and each sweep only
+  // waits out whatever part of its tile's copy is still exposed.
+  ts.staged_until.reserve(ts.tiles.size());
+  for (const TileDesc& tile : ts.tiles) {
+    ts.staged_until.push_back(
+        comm.stage_to_device_async(tile.bytes * replication));
   }
-  stages.run([&](const linalg::TileNode& node) {
-    ts.staged_until[node.tile] =
-        comm.stage_to_device_async(ts.tiles[node.tile].bytes * replication);
-  });
   return ts;
 }
 

@@ -12,7 +12,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
-#include "linalg/tile_graph.hpp"
 #include "vmpi/comm.hpp"
 
 namespace hprs::core::detail {
@@ -57,63 +56,80 @@ PartitionView distribute_partitions(vmpi::Comm& comm,
                                     std::size_t replication = 1,
                                     bool defer_staging = false);
 
+/// One row-strip tile of a partition's owned block.
+struct TileDesc {
+  std::size_t row_begin = 0;  ///< first image row of the tile
+  std::size_t row_end = 0;    ///< one past the last image row
+  std::size_t bytes = 0;      ///< host->device wire bytes of the tile
+
+  [[nodiscard]] std::size_t rows() const { return row_end - row_begin; }
+};
+
+/// Cuts [row_begin, row_end) into tiles of `tile_rows` rows (the last tile
+/// may be ragged).  `bytes_per_row` sizes the staged copy of each tile.
+/// An empty range yields no tiles; tile_rows must be >= 1.
+[[nodiscard]] std::vector<TileDesc> make_row_tiles(std::size_t row_begin,
+                                                   std::size_t row_end,
+                                                   std::size_t bytes_per_row,
+                                                   std::size_t tile_rows);
+
+/// Tile height for a partition of `owned_rows` rows: a split into at most
+/// kTilesPerPartition tiles, ceil(owned_rows / 4).  Always >= 1.
+inline constexpr std::size_t kTilesPerPartition = 4;
+[[nodiscard]] constexpr std::size_t tile_rows_for(std::size_t owned_rows) {
+  return owned_rows == 0
+             ? 1
+             : (owned_rows + kTilesPerPartition - 1) / kTilesPerPartition;
+}
+
 /// One rank's tile plan for the tiled BLAS3 sweeps: row-strip tiles over
 /// the partition's owned rows plus, in streaming mode, the virtual
 /// completion time of each tile's asynchronous host->device copy.
 struct TileStream {
-  std::vector<linalg::TileDesc> tiles;
+  std::vector<TileDesc> tiles;
   /// Parallel to `tiles`; empty unless `streaming`.
   std::vector<double> staged_until;
   bool streaming = false;
 };
 
-/// Builds the tile plan for `view`.  Callers pass
-/// `defer_staging = streaming` to distribute_partitions: with streaming off
-/// the distribute already staged the whole block synchronously (the
-/// historic charge, bit-identical) and this only cuts tiles; with streaming
-/// on this walks the TileGraph stage chain and enqueues one
-/// stage_to_device_async per tile, so the DMA pipeline drains in the shadow
+/// Builds the tile plan for `view` (tile_rows_for the owned rows).  Callers
+/// pass `defer_staging = streaming` to distribute_partitions: with
+/// streaming off the distribute already staged the whole block
+/// synchronously (the historic charge, bit-identical) and this only cuts
+/// tiles; with streaming on this enqueues one stage_to_device_async per
+/// tile in ascending tile order, so the DMA pipeline drains in the shadow
 /// of whatever host-side phases precede the device sweeps.
 [[nodiscard]] TileStream begin_tile_stream(vmpi::Comm& comm,
                                            const PartitionView& view,
-                                           std::size_t tile_rows,
                                            bool streaming,
                                            std::size_t replication);
 
-/// Runs `body` once per tile of `ts` in the deterministic TileGraph order
-/// (a compute chain: accumulators extend strictly in tile order, which is
-/// what keeps tiled sums bit-identical to the monolithic sweep) and charges
-/// the sweep's virtual time.  `body` returns the flops it performed on the
-/// tile.  Non-streaming: flops accumulate across tiles and the sweep
-/// charges ONE compute -- the same single multiply-then-charge as the
-/// monolithic path, so virtual time is bit-identical.  Streaming: each tile
-/// first waits out the exposed part of its staged copy, then charges its
-/// own compute, paying the kernel-launch latency only on the sweep's first
-/// tile (one batched launch per sweep).
+/// Runs `body` once per tile of `ts` in ascending tile order (accumulators
+/// extend strictly in tile order, which is what keeps tiled sums
+/// bit-identical to the monolithic sweep) and charges the sweep's virtual
+/// time.  `body` returns the flops it performed on the tile.
+/// Non-streaming: flops accumulate across tiles and the sweep charges ONE
+/// compute -- the same single multiply-then-charge as the monolithic path,
+/// so virtual time is bit-identical.  Streaming: each tile first waits out
+/// the exposed part of its staged copy, then charges its own compute,
+/// paying the kernel-launch latency only on the sweep's first tile (one
+/// batched launch per sweep).  All copies were enqueued by
+/// begin_tile_stream, so the copy of tile k+1 is in flight while tile k
+/// computes: the two-stage linear pipeline.
 template <typename Body>
 void tiled_sweep(vmpi::Comm& comm, const TileStream& ts,
                  std::size_t replication, Body&& body) {
-  linalg::TileGraph chain;
-  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
-    const std::size_t id =
-        chain.add_node(linalg::TileNodeKind::kCompute, k, k);
-    if (k > 0) chain.add_edge(id - 1, id);
-  }
   if (!ts.streaming) {
     std::uint64_t flops = 0;
-    chain.run([&](const linalg::TileNode& node) {
-      flops += body(ts.tiles[node.tile]);
-    });
+    for (const TileDesc& tile : ts.tiles) flops += body(tile);
     comm.compute(flops * replication);
     return;
   }
-  bool first = true;
-  chain.run([&](const linalg::TileNode& node) {
-    comm.stage_wait(ts.staged_until[node.tile]);
-    const std::uint64_t flops = body(ts.tiles[node.tile]);
-    comm.compute_tile(flops * replication, first);
-    first = false;
-  });
+  for (std::size_t k = 0; k < ts.tiles.size(); ++k) {
+    comm.stage_wait(ts.staged_until[k]);
+    const std::uint64_t flops = body(ts.tiles[k]);
+    comm.compute_tile(flops * replication, /*first=*/k == 0);
+  }
 }
 
 /// OSP score ||P_U_perp x||^2 = x.x - b . G^-1 b computed against the

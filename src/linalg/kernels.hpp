@@ -108,46 +108,4 @@ void dot_lanes(const float* a, const float* const* b, std::size_t k,
 void syrk_tri_update(const double* x, std::size_t m, std::size_t n,
                      double* tri);
 
-// --- gated mixed-precision tiles (float accumulate, double fold) ---------
-//
-// The PLASMA-style mixed path: a tile's syrk update accumulates in float
-// into a private float triangle, which the caller folds into the running
-// double triangle once per tile.  It changes results (that is the point:
-// half the accumulator bandwidth), so it is OFF by default and never
-// allowed to touch a golden-compared run; each tile passes an a-priori
-// residual bound first and falls back to the double kernel otherwise.
-
-/// True when the mixed-precision tile fast path may be tried.  First call
-/// latches HPRS_MIXED_PRECISION (validated 0/1, default 0 = off);
-/// set_mixed_precision overrides afterwards.
-[[nodiscard]] bool use_mixed_precision();
-void set_mixed_precision(bool enabled);
-
-/// RAII override of the mixed-precision gate for a scope.
-class ScopedMixedPrecision {
- public:
-  explicit ScopedMixedPrecision(bool enabled);
-  ~ScopedMixedPrecision();
-  ScopedMixedPrecision(const ScopedMixedPrecision&) = delete;
-  ScopedMixedPrecision& operator=(const ScopedMixedPrecision&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// A-priori accuracy gate for one float-accumulated tile: `amax` bounds the
-/// magnitude of the tile's inputs and `chain_len` is the length of each
-/// output element's accumulation chain (pixels in the tile).  Admissible
-/// when the predicted relative residual eps32 * chain stays within the
-/// tolerance AND the partial sums amax^2 * chain keep clear float32
-/// headroom; anything else (including NaN bounds) falls back to double.
-[[nodiscard]] bool mixed_tile_admissible(double amax, std::size_t chain_len);
-
-/// Float-accumulator companion of syrk_tri_update: same packed layout, same
-/// disjoint row-tile ownership across kernel threads (so the result is
-/// bit-identical at every thread count), float accumulation chains.  The
-/// caller zeroes `tri` per tile and folds it into the double triangle.
-void syrk_tri_update_f32(const float* x, std::size_t m, std::size_t n,
-                         float* tri);
-
 }  // namespace hprs::linalg

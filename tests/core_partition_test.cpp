@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "core/spmd_common.hpp"
 #include "simnet/platform.hpp"
 
 namespace hprs::core {
@@ -260,6 +261,29 @@ TEST(WeaPartitionTest, RootOverrideMovesTheFreeTransferSlot) {
   // Rank 1 shares segment s1: favored when the root sits there, not when
   // the root moved to segment s4.
   EXPECT_GT(from_p1.alpha[1], from_p16.alpha[1]);
+}
+
+TEST(TilePlanTest, MakeRowTilesCoversRangeWithRaggedTail) {
+  const auto tiles = detail::make_row_tiles(10, 23, 100, 5);
+  ASSERT_EQ(tiles.size(), 3u);
+  EXPECT_EQ(tiles[0].row_begin, 10u);
+  EXPECT_EQ(tiles[0].row_end, 15u);
+  EXPECT_EQ(tiles[0].bytes, 500u);
+  EXPECT_EQ(tiles[1].row_begin, 15u);
+  EXPECT_EQ(tiles[1].row_end, 20u);
+  EXPECT_EQ(tiles[2].row_begin, 20u);
+  EXPECT_EQ(tiles[2].row_end, 23u);  // ragged tail
+  EXPECT_EQ(tiles[2].rows(), 3u);
+  EXPECT_EQ(tiles[2].bytes, 300u);
+  EXPECT_TRUE(detail::make_row_tiles(7, 7, 100, 5).empty());
+  EXPECT_THROW((void)detail::make_row_tiles(0, 4, 100, 0), Error);
+}
+
+TEST(TilePlanTest, AutoTileHeightSplitsPartitionIntoFourTiles) {
+  // ceil(owned_rows / 4): at most four tiles, never a zero-row tile.
+  EXPECT_EQ(detail::tile_rows_for(100), 25u);
+  EXPECT_EQ(detail::tile_rows_for(3), 1u);
+  EXPECT_EQ(detail::tile_rows_for(0), 1u);
 }
 
 }  // namespace

@@ -257,61 +257,31 @@ void expect_identical_runs(const core::RunnerOutput& a,
 }
 
 TEST(TileEquivalenceTest, TilingCannotPerturbAnything) {
-  // The tile driver's headline contract: any tile size reproduces the
-  // monolithic (auto-tiled) run bit for bit -- outputs AND every rank's
-  // virtual clocks -- across both host executor modes and thread counts.
+  // The tile driver's headline contract: the tiled sweeps reproduce one
+  // golden run bit for bit -- outputs AND every rank's virtual clocks --
+  // across both host executor modes and kernel-thread counts.
   const hsi::Scene scene = small_scene();
   const simnet::Platform platform = simnet::fully_heterogeneous();
   for (const core::Algorithm alg :
        {core::Algorithm::kPct, core::Algorithm::kAtdca}) {
-    const core::RunnerConfig base = config_for(alg);
+    const core::RunnerConfig cfg = config_for(alg);
     const core::RunnerOutput golden =
-        core::run_algorithm(platform, scene.cube, base);
-    for (const std::size_t tile_rows : {1u, 2u, 5u, 1000u}) {
-      core::RunnerConfig cfg = base;
-      cfg.tile_rows = tile_rows;
-      for (const bool thread_per_rank : {false, true}) {
-        vmpi::Options options;
-        options.exec_mode = thread_per_rank ? vmpi::ExecMode::kThreadPerRank
-                                            : vmpi::ExecMode::kBoundedExecutor;
-        for (const std::size_t threads : {1u, 4u}) {
-          const linalg::ScopedKernelThreads scoped(threads);
-          const core::RunnerOutput out =
-              core::run_algorithm(platform, scene.cube, cfg, options);
-          expect_identical_runs(
-              golden, out,
-              std::string(core::to_string(alg)) + " tile_rows=" +
-                  std::to_string(tile_rows) +
-                  (thread_per_rank ? " tpr" : " bounded") + " threads=" +
-                  std::to_string(threads));
-        }
+        core::run_algorithm(platform, scene.cube, cfg);
+    for (const bool thread_per_rank : {false, true}) {
+      vmpi::Options options;
+      options.exec_mode = thread_per_rank ? vmpi::ExecMode::kThreadPerRank
+                                          : vmpi::ExecMode::kBoundedExecutor;
+      for (const std::size_t threads : {1u, 4u}) {
+        const linalg::ScopedKernelThreads scoped(threads);
+        const core::RunnerOutput out =
+            core::run_algorithm(platform, scene.cube, cfg, options);
+        expect_identical_runs(
+            golden, out,
+            std::string(core::to_string(alg)) +
+                (thread_per_rank ? " tpr" : " bounded") + " threads=" +
+                std::to_string(threads));
       }
     }
-  }
-}
-
-TEST(TileEquivalenceTest, TilingUnderFaultPlanAlsoIdentical) {
-  // Fault-tolerant runs go through the chunk-replay handlers, which call
-  // the same shared-accumulator range kernels the tiles do -- a crash plan
-  // must not let tile configuration leak into recovery numerics.
-  const hsi::Scene scene = small_scene();
-  const simnet::Platform platform = simnet::fully_heterogeneous();
-  core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-  cfg.fault_tolerant = true;
-  const double fault_free_s =
-      core::run_algorithm(platform, scene.cube, cfg).report.total_time;
-  vmpi::Options options;
-  options.fault_plan.crashes.push_back({3, 0.25 * fault_free_s});
-  options.fault_plan.crashes.push_back({11, 0.50 * fault_free_s});
-  const core::RunnerOutput golden =
-      core::run_algorithm(platform, scene.cube, cfg, options);
-  for (const std::size_t tile_rows : {1u, 5u}) {
-    core::RunnerConfig tiled = cfg;
-    tiled.tile_rows = tile_rows;
-    const core::RunnerOutput out =
-        core::run_algorithm(platform, scene.cube, tiled, options);
-    expect_identical_runs(golden, out,
-                          "ft tile_rows=" + std::to_string(tile_rows));
   }
 }
 
@@ -494,74 +464,6 @@ TEST(PpiEquivalenceTest, RunsMatchReferenceAcrossSchedulesAndThreads) {
       }
     }
   }
-}
-
-TEST(MixedPrecisionEquivalenceTest, AdversarialCubeFallsBackBitIdentical) {
-  // An adversarial cube whose magnitudes blow the float headroom: the
-  // a-priori gate must reject every tile, and the run with the mixed
-  // fast path enabled must equal the double run bit for bit.
-  hsi::Scene scene = small_scene();
-  for (float& v : scene.cube.samples()) v *= 1e17f;
-  const simnet::Platform platform = simnet::fully_heterogeneous();
-  const core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-
-  const core::RunnerOutput plain =
-      core::run_algorithm(platform, scene.cube, cfg);
-  core::RunnerOutput mixed;
-  obs::Metrics::Snapshot stable;
-  {
-    const obs::ScopedMetrics metrics;
-    const linalg::ScopedMixedPrecision mp(true);
-    mixed = core::run_algorithm(platform, scene.cube, cfg);
-    stable = obs::Metrics::stable_subset(obs::Metrics::instance().snapshot());
-  }
-  expect_identical_runs(plain, mixed, "adversarial mixed");
-  // Every tile fell back: zero mixed tiles, a positive fallback count.
-  for (const auto& [name, value] : stable) {
-    if (name == "core.pct.mp_tiles") {
-      EXPECT_EQ(value.count, 0u);
-    }
-    if (name == "core.pct.mp_fallback_tiles") {
-      EXPECT_GT(value.count, 0u);
-    }
-  }
-}
-
-TEST(MixedPrecisionEquivalenceTest, BenignCubeTakesTheFastPath) {
-  // On a well-conditioned scene the gate admits tiles, the covariance
-  // sweep charges the cheaper float flop count, and the classification
-  // stays essentially unchanged.  A single-node platform keeps the run
-  // compute-bound, so the flop saving must show up in the makespan (on a
-  // networked gang it hides in NIC-serialization slack).
-  const hsi::Scene scene = small_scene();
-  const simnet::Platform platform = simnet::thunderhead(1);
-  const core::RunnerConfig cfg = config_for(core::Algorithm::kPct);
-
-  const core::RunnerOutput plain =
-      core::run_algorithm(platform, scene.cube, cfg);
-  core::RunnerOutput mixed;
-  obs::Metrics::Snapshot stable;
-  {
-    const obs::ScopedMetrics metrics;
-    const linalg::ScopedMixedPrecision mp(true);
-    mixed = core::run_algorithm(platform, scene.cube, cfg);
-    stable = obs::Metrics::stable_subset(obs::Metrics::instance().snapshot());
-  }
-  std::uint64_t mixed_tiles = 0;
-  for (const auto& [name, value] : stable) {
-    if (name == "core.pct.mp_tiles") mixed_tiles = value.count;
-  }
-  EXPECT_GT(mixed_tiles, 0u);
-  EXPECT_LT(mixed.report.total_time, plain.report.total_time);
-  // The float accumulation may flip borderline pixels, but the gate bounds
-  // the damage: the label images agree almost everywhere.
-  ASSERT_EQ(plain.labels.size(), mixed.labels.size());
-  std::size_t diff = 0;
-  for (std::size_t i = 0; i < plain.labels.size(); ++i) {
-    diff += plain.labels[i] != mixed.labels[i] ? 1u : 0u;
-  }
-  EXPECT_LE(diff, plain.labels.size() / 10);
-  EXPECT_EQ(plain.label_count, mixed.label_count);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "common/error.hpp"
+#include "linalg/thread_pool.hpp"
 #include "vmpi/comm.hpp"
 
 namespace hprs::vmpi {
@@ -155,6 +158,48 @@ TEST(EngineTest, RankExceptionPropagatesAndUnblocksPeers) {
                  comm.barrier();  // peers must not hang
                }),
                std::runtime_error);
+}
+
+TEST(EngineTest, KernelLaneErrorReachesTheCallerAndReleasesPeers) {
+  // A rank body runs a 4-lane kernel region and its last lane (a pool
+  // thread, not the rank's own) throws, while its peers wait in a
+  // barrier.  In both executor modes the lane's Error must
+  // reach engine.run's caller as that Error -- not std::terminate, and not
+  // the deadlock diagnosis that unreleased peers would produce -- and the
+  // kernel pool must still run the next region.
+  const linalg::ScopedKernelThreads threads(4);
+  for (const ExecMode mode :
+       {ExecMode::kBoundedExecutor, ExecMode::kThreadPerRank}) {
+    const std::string label =
+        mode == ExecMode::kThreadPerRank ? "thread-per-rank" : "bounded";
+    Options opts = zero_latency();
+    opts.exec_mode = mode;
+    Engine engine(uniform_platform(4), opts);
+    std::atomic<std::size_t> region_width{0};
+    std::string caught;
+    try {
+      (void)engine.run([&](Comm& comm) {
+        if (comm.rank() == 2) {
+          linalg::parallel_region(
+              4, [&](std::size_t worker, std::size_t workers) {
+                region_width.store(workers);
+                if (worker + 1 == workers) throw Error("lane boom");
+              });
+        }
+        comm.barrier();
+      });
+    } catch (const Error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(region_width.load(), 4u) << label;
+    EXPECT_NE(caught.find("lane boom"), std::string::npos)
+        << label << ": " << caught;
+
+    std::atomic<int> calls{0};
+    linalg::parallel_region(4,
+                            [&](std::size_t, std::size_t) { calls++; });
+    EXPECT_EQ(calls.load(), 4) << label;
+  }
 }
 
 TEST(EngineTest, RecvWithNoSenderTimesOutAsDeadlock) {
